@@ -39,7 +39,7 @@ def main() -> None:
     victim = fleet.host(victim_id)
     print(f"\nfailing pcie-nic0 on {victim_id} ...")
     FailureInjector(victim.network).fail_link("pcie-nic0")
-    fleet.run_until(fleet.now + 0.1)
+    fleet.advance_to(fleet.now + 0.1)
 
     print()
     print(fleet.planner.describe())

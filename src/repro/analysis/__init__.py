@@ -15,9 +15,7 @@ from .fairness import (
 )
 from .slo import (
     ObjectiveReport,
-    SloReport,
     evaluate_objective,
-    evaluate_slo,
     violation_episodes,
     violation_time_fraction,
 )
@@ -30,8 +28,6 @@ __all__ = [
     "isolation_scorecard",
     "ObjectiveReport",
     "evaluate_objective",
-    "SloReport",
-    "evaluate_slo",
     "violation_episodes",
     "violation_time_fraction",
     "LinkCapacityRow",

@@ -4,13 +4,11 @@ This is the *offline* counterpart of the live :mod:`repro.slo` pipeline:
 the same :class:`~repro.slo.objective.SloObjective` vocabulary (a
 percentile bound with an error budget), scored in one pass over a
 recorded sample list instead of streamed through probes and burn-rate
-trackers.  The pre-unification ``evaluate_slo`` / ``SloReport`` entry
-points survive as warn-once deprecation shims.
+trackers.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -59,50 +57,6 @@ def evaluate_objective(latencies: Sequence[float],
         achieved=percentile(latencies, objective.percentile),
         worst=max(latencies),
     )
-
-
-@dataclass(frozen=True)
-class SloReport:
-    """Deprecated report shape; produced only by the
-    :func:`evaluate_slo` shim.  Use :class:`ObjectiveReport`.
-
-    Attributes:
-        slo: The latency bound (seconds).
-        samples: Number of samples evaluated.
-        compliance: Fraction of samples within the SLO.
-        p99: The sample p99 (the usual SLO yardstick).
-        worst: The worst observed sample.
-    """
-
-    slo: float
-    samples: int
-    compliance: float
-    p99: float
-    worst: float
-
-    @property
-    def met(self) -> bool:
-        """Whether the p99 is within the SLO (the standard criterion)."""
-        return self.p99 <= self.slo
-
-
-def evaluate_slo(latencies: Sequence[float], slo: float) -> SloReport:
-    """Deprecated: build an :class:`SloObjective` and call
-    :func:`evaluate_objective` (the live monitors' vocabulary)."""
-    warnings.warn(
-        "evaluate_slo() is deprecated; build an SloObjective and call "
-        "evaluate_objective() (the same vocabulary repro.slo evaluates "
-        "live)",
-        DeprecationWarning, stacklevel=2,
-    )
-    if not latencies:
-        raise ValueError("evaluate_slo of empty sample set")
-    if slo <= 0:
-        raise ValueError("slo must be > 0")
-    report = evaluate_objective(latencies, SloObjective("legacy-p99", slo))
-    return SloReport(slo=slo, samples=report.samples,
-                     compliance=report.attainment, p99=report.achieved,
-                     worst=report.worst)
 
 
 def violation_episodes(

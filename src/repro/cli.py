@@ -18,8 +18,7 @@ paper's tooling would be driven in production:
 * ``fleet run [--hosts N --policy P --seed S --clock C]`` — drive a
   multi-host fleet through a seeded churn workload under the cluster
   scheduler (``--clock event`` by default; ``lockstep`` for the
-  reference discipline; ``--parallel N`` shards the host simulations
-  across N worker processes with bit-identical outcomes);
+  reference discipline);
 * ``fleet replay [--trace FILE --hosts N --policy P --compare]`` —
   replay a datacenter trace (Alibaba-style CSV/JSON, or a seeded
   synthesized one when no file is given) against the fleet and print a
@@ -29,7 +28,7 @@ paper's tooling would be driven in production:
   replay, turning the report into an SLO-under-failure study;
   ``--slo`` arms continuous latency probes and appends the burn-rate
   monitor's report;
-* ``fleet slo [--hosts N --seed S --clock C --parallel N]`` — the
+* ``fleet slo [--hosts N --seed S --clock C]`` — the
   seeded latency-regression scenario: a host's links silently degrade
   under churn, the multi-window burn-rate alert names it, and the
   fleet live-migrates its sessions until attainment recovers (exit 1
@@ -287,28 +286,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _clamp_parallel(args: argparse.Namespace) -> Optional[int]:
-    """Validate ``--parallel`` against the machine.
-
-    Returns the (possibly clamped) worker count, ``None`` for serial.
-    Raises SystemExit(2) via the caller's return path for nonsense; a
-    request beyond ``os.cpu_count()`` is clamped with a warning — more
-    workers than cores only adds scheduling noise.
-    """
-    import os
-
-    parallel = getattr(args, "parallel", None)
-    if parallel is None:
-        return None
-    cores = os.cpu_count() or 1
-    if parallel > cores:
-        print(f"fleet: --parallel {parallel} exceeds the "
-              f"{cores} available core(s); clamping to {cores}",
-              file=sys.stderr)
-        return cores
-    return parallel
-
-
 def _make_fleet(args: argparse.Namespace):
     """A Fleet from the shared ``fleet`` CLI options."""
     from .fleet import Fleet
@@ -320,7 +297,6 @@ def _make_fleet(args: argparse.Namespace):
         max_attempts=args.max_attempts,
         rebalance_threshold=args.rebalance_threshold,
         clock=args.clock,
-        parallel=_clamp_parallel(args),
     )
 
 
@@ -334,8 +310,9 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         print(f"fleet: --hosts must be >= 1, got {args.hosts}",
               file=sys.stderr)
         return 2
-    if getattr(args, "parallel", None) is not None and args.parallel < 1:
-        print(f"fleet: --parallel must be >= 1, got {args.parallel}",
+    max_attempts = getattr(args, "max_attempts", None)
+    if max_attempts is not None and max_attempts < 1:
+        print(f"fleet: --max-attempts must be >= 1, got {max_attempts}",
               file=sys.stderr)
         return 2
     if args.fleet_command == "chaos":
@@ -392,7 +369,7 @@ def _cmd_fleet_chaos(args: argparse.Namespace) -> int:
             seed=args.seed, hosts=args.hosts, topology=args.preset,
             policy=args.policy, clock=args.clock,
             failure_domains=args.domains, horizon=args.horizon,
-            faults=faults, parallel=_clamp_parallel(args),
+            faults=faults,
         )
     except FleetError as exc:
         print(f"fleet chaos: {exc}", file=sys.stderr)
@@ -434,8 +411,7 @@ def _cmd_fleet_slo(args: argparse.Namespace) -> int:
     except SloError as exc:
         print(f"fleet slo: {exc}", file=sys.stderr)
         return 2
-    report = run_latency_regression(
-        config, parallel=_clamp_parallel(args), clock=args.clock)
+    report = run_latency_regression(config, clock=args.clock)
     print(report.describe())
     injected = args.degrade_factor < 1.0
     closed = report.first_migration_time is not None
@@ -516,7 +492,6 @@ def _cmd_fleet_replay(args: argparse.Namespace) -> int:
             faults=schedule,
             rebalance_threshold=args.rebalance_threshold,
             failure_domains=args.domains,
-            parallel=_clamp_parallel(args),
         )
         print()
         print(comparison.describe())
@@ -533,8 +508,7 @@ def _cmd_fleet_replay(args: argparse.Namespace) -> int:
         fleet = Fleet(args.preset, hosts=args.hosts, policy=args.policy,
                       clock=args.clock, max_attempts=args.max_attempts,
                       rebalance_threshold=args.rebalance_threshold,
-                      failure_domains=args.domains,
-                      parallel=_clamp_parallel(args), slo=slo)
+                      failure_domains=args.domains, slo=slo)
         try:
             report = replay_trace(fleet, trace, config, faults=schedule)
             slo_text = (fleet.slo.describe()
@@ -653,12 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "hosts with pending work (fast, default); "
                             "'lockstep' advances every host each quantum "
                             "(reference)")
-        if p is not fleet_describe:
-            p.add_argument("--parallel", type=int, default=None,
-                           metavar="N",
-                           help="shard host simulations across N worker "
-                                "processes (deterministic: same outcome "
-                                "as serial; clamped to the core count)")
     for p in (fleet_run, fleet_replay, fleet_describe):
         p.add_argument("--rebalance-threshold", type=float, default=None,
                        help="peak-reserved skew that triggers a rebalance "
@@ -737,11 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=sorted(FLEET_CLOCKS),
                            help="fleet clock discipline (bit-identical "
                                 "outcome either way)")
-    fleet_slo.add_argument("--parallel", type=int, default=None,
-                           metavar="N",
-                           help="shard host simulations across N worker "
-                                "processes (deterministic: same outcome "
-                                "as serial)")
     fleet_slo.add_argument("--seed", type=int, default=0,
                            help="churn seed (fully deterministic)")
     fleet_slo.add_argument("--horizon", type=float, default=0.12,

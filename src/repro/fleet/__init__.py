@@ -10,10 +10,8 @@ that, a seeded fleet fault model — host crashes, capacity degradations,
 domain partitions (:class:`FleetFaultInjector`, :class:`FleetHealth`) —
 with self-healing evacuation (:class:`FleetRecoveryController`), a
 fleet-wide invariant oracle (:func:`check_fleet_invariants`), and a
-chaos-campaign harness (:func:`run_fleet_campaign`).  Host simulations
-can be sharded across worker processes (``Fleet(parallel=N)``) behind a
-deterministic message-passing boundary (:class:`ParallelFleetClock`,
-:func:`shard_hosts`).  See DESIGN.md §11–12, §14, and §15.
+chaos-campaign harness (:func:`run_fleet_campaign`).  See DESIGN.md
+§11–12 and §14.
 """
 
 from .chaos import FleetChaosConfig, FleetChaosReport, run_fleet_campaign
@@ -36,8 +34,6 @@ from .faults import (
 )
 from .invariants import check_fleet_invariants
 from .migration import MigrationPlanner, MigrationRecord
-from .parallel import ParallelBackend, ParallelFleetClock
-from .protocol import shard_hosts
 from .recovery import (
     EvacuationRecord,
     FleetRecoveryConfig,
@@ -57,7 +53,6 @@ from .telemetry import (
     FleetTelemetry,
     HeadroomMatrix,
     HostHeadroom,
-    ParallelFleetTelemetry,
 )
 from .workload import (
     FleetChurnConfig,
@@ -73,10 +68,6 @@ __all__ = [
     "EventDrivenFleetClock",
     "FLEET_CLOCKS",
     "make_clock",
-    "ParallelBackend",
-    "ParallelFleetClock",
-    "ParallelFleetTelemetry",
-    "shard_hosts",
     "FleetTelemetry",
     "HeadroomMatrix",
     "HostHeadroom",

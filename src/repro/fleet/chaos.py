@@ -60,9 +60,6 @@ class FleetChaosConfig:
             when ``None``, scaled to the horizon.
         deep_audits: Run the per-host fabric oracle inside every
             per-fault audit (always run at campaign end).
-        parallel: Shard host simulations over this many worker
-            processes (``None`` = in-process serial).  Campaign
-            outcomes are bit-identical either way.
     """
 
     seed: int = 0
@@ -80,7 +77,6 @@ class FleetChaosConfig:
     fault_config: Optional[FleetFaultConfig] = None
     recovery: Optional[FleetRecoveryConfig] = None
     deep_audits: bool = True
-    parallel: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.hosts < 2:
@@ -207,7 +203,6 @@ def run_fleet_campaign(config: Optional[FleetChaosConfig] = None,
         policy=config.policy,
         max_attempts=config.max_attempts,
         failure_domains=config.failure_domains,
-        parallel=config.parallel,
     )
     try:
         recovery = FleetRecoveryController(

@@ -60,15 +60,11 @@ class FleetClock:
         self._now = start
         # Fleet membership is fixed at construction; resolving engines
         # once keeps the per-event hot path free of host lookups.
-        self._engines = self._resolve_engines(fleet)
+        self._engines = {host_id: host.engine
+                         for host_id, host in fleet.hosts()}
         # Crashed hosts: frozen in time, never advanced or woken until
         # reactivated (see FleetFaultInjector).
         self._inactive: set = set()
-
-    def _resolve_engines(self, fleet: "Fleet") -> dict:
-        """Engine per host id.  The parallel clock overrides this with an
-        empty map — its engines live in worker processes."""
-        return {host_id: host.engine for host_id, host in fleet.hosts()}
 
     @property
     def now(self) -> float:
@@ -140,19 +136,6 @@ class FleetClock:
         the event-driven clock re-peeks here so those events are not
         deferred to the host's next wake.  Lockstep needs no hint.
         """
-
-    def sync_hosts(self, t: Optional[float] = None) -> int:
-        """Bring *every* host's local clock up to *t* (default: now).
-
-        The deprecated ``Fleet.run_until()`` contract — all hosts at
-        fleet time on return — is preserved by calling this after
-        :meth:`advance_to`.
-        """
-        target = self._now if t is None else t
-        processed = 0
-        for host_id, _host in self.fleet.hosts():
-            processed += self.wake(host_id, target)
-        return processed
 
     def _advance_lockstep(self, t: float) -> int:
         """Quantum-by-quantum advance with control at every boundary."""

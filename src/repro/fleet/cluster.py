@@ -31,7 +31,7 @@ Quick start::
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import replace as dataclass_replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
 
@@ -48,18 +48,12 @@ from ..slo.probe import normalize_slo
 from ..topology.elements import LinkClass
 from ..topology.graph import HostTopology
 from ..topology.presets import load_preset
-from ..trace import TRACER
-from .clock import FLEET_CLOCKS, FleetClock, make_clock
+from .clock import FleetClock, make_clock
 from .faults import FleetHealth
 from .migration import MigrationPlanner
-from .parallel import ParallelBackend, ParallelFleetClock
 from .placement import PlacementPolicy
 from .scheduler import ClusterScheduler, FleetPlacement
-from .telemetry import (
-    FleetTelemetry,
-    ParallelFleetTelemetry,
-    canonical_device_keys,
-)
+from .telemetry import FleetTelemetry, canonical_device_keys
 
 
 class Fleet:
@@ -78,36 +72,21 @@ class Fleet:
             equivalent to lockstep on seeded workloads; lockstep advances
             every host each quantum and runs fleet control at every
             boundary unconditionally.
-        clock_quantum: Lockstep granularity in simulated seconds (the
-            event clock uses it when boundary cadence is required —
-            rebalancing armed or recovery controllers attached).
+        clock_quantum: Lockstep granularity in simulated seconds, finite
+            and > 0 (the event clock uses it when boundary cadence is
+            required — rebalancing armed or recovery controllers
+            attached).
         policy: Placement policy name or instance (see
             :data:`~repro.fleet.placement.PLACEMENT_POLICIES`).
         max_attempts: Per-intent host-probe bound forwarded to the
-            scheduler (``None`` probes every host).
+            scheduler (``None`` probes every host; otherwise >= 1).
         rebalance_threshold: Peak-reserved-fraction skew that triggers a
             rebalance move at a boundary; ``None`` (default) disables.
         failure_domains: How many failure domains to spread hosts over
             (round-robin by sorted host id).  The fault model crashes
             and partitions whole domains; placement avoids faulted
             domains.  Default 1 (no domain structure).
-        telemetry_max_age: Deprecated and ignored — headroom summaries
-            are push-invalidated now and always current.
         start: Initial simulated time for every host.
-        parallel: Shard host simulations across this many worker
-            *processes* (``None``, the default, runs everything in this
-            process).  The control plane — scheduler, planner, health,
-            fault timelines — stays in the parent and drives workers
-            over a message protocol; given a seed the outcome is
-            bit-identical to the serial event-driven clock.  Clamped to
-            the host count; incompatible with ``resilience=`` (per-host
-            recovery controllers would live in worker processes, out of
-            the planner's reach — use
-            :class:`~repro.fleet.recovery.FleetRecoveryController`,
-            which is parent-side and fully supported).  With
-            ``parallel=``, per-host accessors (:meth:`host`,
-            :meth:`hosts`) are unavailable; use the fleet-surface
-            accessors instead.
         resilience: Forwarded to each :class:`Host`; when armed, each
             host's recovery controller escalates unrecoverable placements
             to the fleet's migration planner.
@@ -115,10 +94,8 @@ class Fleet:
             default :class:`~repro.slo.probe.SloConfig`; a config or a
             single :class:`~repro.slo.objective.SloObjective` tunes it.
             Every host runs a sampled
-            :class:`~repro.slo.probe.LatencyProbe` (in-process serially,
-            inside the workers with ``parallel=`` — their samples ride
-            piggybacked on every reply), and :meth:`advance_to` folds
-            the merged stream into :attr:`slo`, a
+            :class:`~repro.slo.probe.LatencyProbe`, and
+            :meth:`advance_to` folds the merged stream into :attr:`slo`, a
             :class:`~repro.slo.monitor.FleetSloMonitor` whose fast-window
             burn-rate alerts hand the offending host to
             :meth:`~repro.fleet.migration.MigrationPlanner
@@ -142,9 +119,7 @@ class Fleet:
         max_attempts: Optional[int] = None,
         rebalance_threshold: Optional[float] = None,
         failure_domains: int = 1,
-        telemetry_max_age: Optional[float] = None,
         start: float = 0.0,
-        parallel: Optional[int] = None,
         resilience=None,
         slo=None,
         slo_max_moves: int = 4,
@@ -162,28 +137,10 @@ class Fleet:
                 return load_preset(preset)
         else:
             factory = topology
-        if clock_quantum <= 0:
+        if not (math.isfinite(clock_quantum) and clock_quantum > 0):
             raise FleetError(
-                f"clock_quantum must be > 0, got {clock_quantum}"
+                f"clock_quantum must be finite and > 0, got {clock_quantum}"
             )
-        if telemetry_max_age is not None:
-            warnings.warn(
-                "telemetry_max_age is deprecated and ignored: headroom "
-                "summaries are push-invalidated now and always current",
-                DeprecationWarning, stacklevel=2,
-            )
-        if parallel is not None:
-            if not isinstance(parallel, int) or isinstance(parallel, bool) \
-                    or parallel < 1:
-                raise FleetError(
-                    f"parallel must be an int >= 1, got {parallel!r}")
-            if resilience is not None:
-                raise FleetError(
-                    "parallel= is incompatible with resilience=: per-host "
-                    "recovery controllers would live in worker processes, "
-                    "out of the planner's reach; use the parent-side "
-                    "FleetRecoveryController for fleet-level self-healing"
-                )
         ids = list(host_ids) if host_ids else [
             f"host{i:02d}" for i in range(hosts)
         ]
@@ -197,9 +154,8 @@ class Fleet:
         slo_config = normalize_slo(slo)
         self._slo_max_moves = slo_max_moves
         if slo_config is not None:
-            # Probes run host-side (serially in this process, inside the
-            # workers with parallel=), so the config must reach every
-            # Host constructor — including the ones built post-fork.
+            # Probes run host-side, so the config must reach every Host
+            # constructor.
             host_kwargs["slo"] = slo_config
             #: Fleet-wide SLO state (None unless built with ``slo=``).
             self.slo: Optional[FleetSloMonitor] = FleetSloMonitor(
@@ -225,30 +181,16 @@ class Fleet:
         self._host_ids = sorted(ids)
         self._hosts: Dict[str, Host] = {}
         self._mappings: Dict[str, Dict[str, str]] = {}
-        # Serial-mode fault-injection state (worker-side when parallel):
-        # one injector per host, at most one active degrade per host.
+        # Fault-injection state: one injector per host, at most one
+        # active degrade per host.
         self._injectors: Dict[str, FailureInjector] = {}
         self._degrade_failures: Dict[str, list] = {}
-        self._worker_traces: Optional[Dict[int, list]] = None
-        if parallel is not None:
-            self._backend: Optional[ParallelBackend] = ParallelBackend(
-                self._host_ids, min(parallel, len(ids)), factory, start,
-                dict(host_kwargs))
-            self.parallel: Optional[int] = self._backend.workers
-            # Homogeneous by construction (one factory), so one probe
-            # instance yields the device mapping every host shares.
-            self._parallel_mapping = _device_mapping(
-                self.reference_topology, factory())
-            self.telemetry = ParallelFleetTelemetry(self._backend)
-        else:
-            self._backend = None
-            self.parallel = None
-            self.telemetry = FleetTelemetry()
-            for host_id in self._host_ids:
-                host = Host(factory(), start=start, resilience=resilience,
-                            **host_kwargs)
-                self._hosts[host_id] = host
-                self.telemetry.attach(host_id, host)
+        self.telemetry = FleetTelemetry()
+        for host_id in self._host_ids:
+            host = Host(factory(), start=start, resilience=resilience,
+                        **host_kwargs)
+            self._hosts[host_id] = host
+            self.telemetry.attach(host_id, host)
         self.health = FleetHealth(self._host_ids,
                                   domains=failure_domains)
         self.scheduler = ClusterScheduler(self, policy=policy,
@@ -256,20 +198,8 @@ class Fleet:
         self.planner = MigrationPlanner(
             self, self.scheduler, rebalance_threshold=rebalance_threshold,
         )
-        if parallel is not None:
-            if isinstance(clock, type):
-                raise FleetError(
-                    "parallel= requires a named clock discipline "
-                    f"({sorted(FLEET_CLOCKS)}), not a FleetClock class")
-            if clock not in FLEET_CLOCKS:
-                raise FleetError(
-                    f"unknown fleet clock {clock!r}; "
-                    f"choices: {sorted(FLEET_CLOCKS)}")
-            self.clock: FleetClock = ParallelFleetClock(
-                self, clock_quantum, start, self._backend,
-                force_boundaries=(clock == "lockstep"))
-        else:
-            self.clock = make_clock(clock, self, clock_quantum, start)
+        self.clock: FleetClock = make_clock(clock, self, clock_quantum,
+                                            start)
         for host_id, host in self._hosts.items():
             if host.recovery is not None:
                 host.recovery.on_escalation(
@@ -281,17 +211,8 @@ class Fleet:
 
     # -- membership ----------------------------------------------------------
 
-    def _no_direct_hosts(self, method: str) -> FleetError:
-        return FleetError(
-            f"Fleet.{method}() is unavailable with parallel="
-            f"{self.parallel}: hosts live in worker processes; use the "
-            f"fleet-surface accessors (placements, telemetry, "
-            f"ledger_signatures, placed_intents) instead")
-
     def host(self, host_id: str) -> Host:
-        """The :class:`Host` registered under *host_id* (serial only)."""
-        if self._backend is not None:
-            raise self._no_direct_hosts("host")
+        """The :class:`Host` registered under *host_id*."""
         try:
             return self._hosts[host_id]
         except KeyError:
@@ -302,20 +223,14 @@ class Fleet:
         return list(self._host_ids)
 
     def hosts(self) -> List[Tuple[str, Host]]:
-        """``(host_id, host)`` pairs in deterministic order (serial
-        only)."""
-        if self._backend is not None:
-            raise self._no_direct_hosts("hosts")
+        """``(host_id, host)`` pairs in deterministic order."""
         return [(host_id, self._hosts[host_id])
                 for host_id in self._host_ids]
 
     def require_host(self, host_id: str) -> None:
         """Raise :class:`UnknownHostError` unless *host_id* is a fleet
-        member.  Works in both execution modes, unlike :meth:`host`."""
-        if self._backend is not None:
-            if host_id not in self._backend.worker_of:
-                raise UnknownHostError(host_id)
-        elif host_id not in self._hosts:
+        member."""
+        if host_id not in self._hosts:
             raise UnknownHostError(host_id)
 
     def __len__(self) -> int:
@@ -338,14 +253,13 @@ class Fleet:
         processed.
 
         When ``slo=`` is armed this is also the SLO evaluation point:
-        probe samples accumulated during the advance are drained (from
-        the in-process probes serially, from the piggybacked reply
-        mirrors with ``parallel=``), folded into :attr:`slo`, and due
-        burn-rate alerts fire — into the default
+        probe samples accumulated during the advance are drained from
+        the hosts' probes, folded into :attr:`slo`, and due burn-rate
+        alerts fire — into the default
         :meth:`~repro.fleet.migration.MigrationPlanner.relieve_latency`
         sink and any listeners.  Advances happen at the same fleet times
-        in every execution mode, so evaluation (and therefore the alert
-        log) is bit-identical across them.
+        under both clock disciplines, so evaluation (and therefore the
+        alert log) is bit-identical across them.
         """
         processed = self.clock.advance_to(t)
         if self.slo is not None:
@@ -360,7 +274,7 @@ class Fleet:
                 # at or after each grid point (probes buffer until
                 # drained), so gating on the exact grid skips only
                 # provably-empty drains and keeps the alert log
-                # bit-identical across backends and clock disciplines.
+                # bit-identical across clock disciplines.
                 fires, period = self._slo_fires, self._slo_period
                 due = self._slo_next_due
                 while due <= now:
@@ -388,8 +302,6 @@ class Fleet:
     def _drain_slo_samples(self) -> List[SloSample]:
         """Collect host-tagged probe samples accumulated since the last
         drain (the fold input for :attr:`slo`)."""
-        if self._backend is not None:
-            return self._backend.take_slo()
         samples: List[SloSample] = []
         for host_id in self._host_ids:
             probe = self._hosts[host_id].slo_probe
@@ -437,23 +349,6 @@ class Fleet:
         """
         self.clock.notify(host_id)
 
-    def run_until(self, t: float) -> int:
-        """Deprecated: use :meth:`advance_to` (plus :meth:`wake` when a
-        host's local clock must be current).
-
-        Preserves the historical contract — every host's local clock is
-        at fleet time on return — by syncing all hosts after the advance.
-        Returns the total number of host events processed.
-        """
-        warnings.warn(
-            "Fleet.run_until() is deprecated; use Fleet.advance_to() "
-            "(hosts are woken lazily) or Fleet.clock directly",
-            DeprecationWarning, stacklevel=2,
-        )
-        processed = self.clock.advance_to(t)
-        processed += self.clock.sync_hosts()
-        return processed
-
     # -- intent remapping ----------------------------------------------------
 
     def canonical_device_key(self, device_id: str) -> Optional[str]:
@@ -474,12 +369,8 @@ class Fleet:
         """
         mapping = self._mappings.get(host_id)
         if mapping is None:
-            if self._backend is not None:
-                self.require_host(host_id)
-                mapping = self._parallel_mapping
-            else:
-                mapping = _device_mapping(self.reference_topology,
-                                          self.host(host_id).topology)
+            mapping = _device_mapping(self.reference_topology,
+                                      self.host(host_id).topology)
             self._mappings[host_id] = mapping
         src = mapping.get(intent.src, intent.src)
         dst = (mapping.get(intent.dst, intent.dst)
@@ -514,189 +405,80 @@ class Fleet:
 
     # -- per-host manager surface --------------------------------------------
     #
-    # The scheduler, planner, recovery controller, and fault injector go
-    # through these instead of host(host_id).manager so the same control
-    # plane drives both execution modes: serial calls the manager
-    # in-process; parallel ships the op (with fleet ``now``, so the
-    # worker wakes the host first — the serial caller has already issued
-    # its own fleet.wake by this point).
-
-    def worker_index(self, host_id: str) -> Optional[int]:
-        """Which worker shard simulates *host_id* (``None`` serially).
-
-        The scheduler's probe-batching key: consecutive ranked hosts
-        with equal worker indices can share one ``try_submit_seq``
-        round-trip.
-        """
-        if self._backend is None:
-            return None
-        return self._backend.worker_of.get(host_id)
+    # The scheduler, planner, recovery controller, fault injector, and
+    # invariant oracle go through these instead of reaching into
+    # host(host_id).manager: the fleet's one boundary between the
+    # control plane and its hosts.
 
     def manager_try_submit(self, host_id: str,
                            intent: PerformanceTarget) -> Optional[Placement]:
         """``manager.try_submit`` on one host (``None`` on rejection)."""
-        if self._backend is not None:
-            return self._backend.call(host_id, "try_submit", {
-                "host_id": host_id, "now": self.now, "intent": intent})
         return self.host(host_id).manager.try_submit(intent)
-
-    def manager_try_submit_run(
-        self, attempts: List[Tuple[str, PerformanceTarget]],
-    ) -> Tuple[int, Optional[Placement]]:
-        """Probe ``(host_id, remapped_intent)`` attempts in order until
-        one admits; returns ``(tried, placement-or-None)``.
-
-        The batched probe primitive behind
-        :meth:`ClusterScheduler._place`: serially it replays the classic
-        wake/try/notify loop host by host; with ``parallel=`` the whole
-        run (all attempts on one worker, by construction) ships as a
-        single ``try_submit_seq`` op — one pipe round-trip however many
-        hosts get probed.  The worker replays the identical loop, so
-        per-host event histories match the serial ones instruction for
-        instruction.
-        """
-        if self._backend is not None:
-            widx = self._backend.worker_of[attempts[0][0]]
-            tried, placement = self._backend.call_worker(
-                widx, "try_submit_seq",
-                {"now": self.now, "attempts": attempts})
-            return tried, placement
-        tried = 0
-        for host_id, intent in attempts:
-            # Probed hosts must be at fleet time so the reservation (and
-            # any deferred re-solve it schedules) is stamped "now", not
-            # at whatever time the host was last woken.
-            self.wake(host_id)
-            tried += 1
-            placement = self.host(host_id).manager.try_submit(intent)
-            # Either outcome may have scheduled host events (arbiter
-            # enforcement after its decision latency, retry backoffs);
-            # they postdate the wake above, so re-notify the clock.
-            self.notify(host_id)
-            if placement is not None:
-                return tried, placement
-        return tried, None
 
     def manager_submit(self, host_id: str,
                        intent: PerformanceTarget) -> Placement:
         """``manager.submit`` on one host (raises on rejection)."""
-        if self._backend is not None:
-            return self._backend.call(host_id, "submit", {
-                "host_id": host_id, "now": self.now, "intent": intent})
         return self.host(host_id).manager.submit(intent)
 
     def manager_release(self, host_id: str, intent_id: str) -> None:
         """``manager.release`` on one host."""
-        if self._backend is not None:
-            self._backend.call(host_id, "release", {
-                "host_id": host_id, "now": self.now,
-                "intent_id": intent_id})
-            return
         self.host(host_id).manager.release(intent_id)
 
     def manager_reinstate(self, host_id: str, placement: Placement) -> None:
         """``manager.reinstate`` on one host (migration rollback)."""
-        if self._backend is not None:
-            self._backend.call(host_id, "reinstate", {
-                "host_id": host_id, "now": self.now,
-                "placement": placement})
-            return
         self.host(host_id).manager.reinstate(placement)
 
     def manager_placement(self, host_id: str, intent_id: str) -> Placement:
         """``manager.placement`` on one host (raises when not placed)."""
-        if self._backend is not None:
-            return self._backend.call(host_id, "placement", {
-                "host_id": host_id, "intent_id": intent_id})
         return self.host(host_id).manager.placement(intent_id)
 
     def collect_placements(
         self, bindings: Dict[str, str],
     ) -> List[Tuple[str, str, Placement]]:
         """``(intent_id, host_id, placement)`` for every binding, in
-        intent-id order — one scatter round-trip (all workers compute
-        their bulk slices concurrently) instead of one blocking
-        round-trip per worker."""
-        pairs = sorted(bindings.items())
-        if self._backend is None:
-            return [(iid, hid, self.host(hid).manager.placement(iid))
-                    for iid, hid in pairs]
-        per_worker: Dict[int, list] = {}
-        for iid, hid in pairs:
-            widx = self._backend.worker_of[hid]
-            per_worker.setdefault(widx, []).append((hid, iid))
-        by_intent: Dict[str, Placement] = {}
-        results = self._backend.scatter(
-            "placements_bulk",
-            {widx: {"pairs": wpairs}
-             for widx, wpairs in per_worker.items()})
-        for widx, wpairs in sorted(per_worker.items()):
-            for (_hid, iid), placement in zip(wpairs, results[widx]):
-                by_intent[iid] = placement
-        return [(iid, hid, by_intent[iid]) for iid, hid in pairs]
+        intent-id order."""
+        return [(iid, hid, self.host(hid).manager.placement(iid))
+                for iid, hid in sorted(bindings.items())]
 
     # -- audit surface -------------------------------------------------------
 
     def placed_intents(self) -> Dict[str, List[str]]:
         """Intent ids each host's manager currently holds, in manager
         (insertion) order — the invariant oracle's ground truth."""
-        if self._backend is None:
-            return {host_id: [p.intent.intent_id
-                              for p in host.manager.placements()]
-                    for host_id, host in self.hosts()}
-        merged: Dict[str, List[str]] = {}
-        for result in self._backend.broadcast("placed_ids", {}):
-            merged.update(result)
-        return {host_id: merged[host_id] for host_id in self._host_ids}
+        return {host_id: [p.intent.intent_id
+                          for p in host.manager.placements()]
+                for host_id, host in self.hosts()}
 
     def reserved_total(self, host_id: str) -> float:
         """Total ledger reservation mass (bytes/s) on one host."""
-        if self._backend is not None:
-            return self._backend.call(host_id, "reserved_total",
-                                      {"host_id": host_id})
         host = self.host(host_id)
         return sum(host.manager.ledger.reserved_map.values())
 
     def ledger_signatures(self) -> Dict[str, tuple]:
         """Each host's sorted reservation map as a hashable signature —
-        the cross-mode bit-identical equivalence key."""
-        if self._backend is None:
-            return {
-                host_id: tuple(sorted(
-                    host.manager.ledger.reserved_map.items()))
-                for host_id, host in self.hosts()
-            }
-        merged: Dict[str, tuple] = {}
-        for result in self._backend.broadcast("ledger_sigs", {}):
-            merged.update(result)
-        return {host_id: merged[host_id] for host_id in self._host_ids}
+        the bit-identical equivalence key across clock disciplines."""
+        return {
+            host_id: tuple(sorted(host.manager.ledger.reserved_map.items()))
+            for host_id, host in self.hosts()
+        }
 
     def deep_audits(self, rate_tol: float = 1.0,
                     exclude: Sequence[str] = ()) -> List[tuple]:
         """Run the per-host fabric oracle on every non-excluded host.
 
         Returns ``(host_id, name, detail, time)`` violation tuples in
-        global host order (stable within a host), so the fleet oracle's
-        report is identical in both execution modes.
+        global host order (stable within a host).
         """
         excluded = set(exclude)
-        if self._backend is None:
-            out = []
-            for host_id, host in self.hosts():
-                if host_id in excluded:
-                    continue
-                for v in check_invariants(host.network,
-                                          manager=host.manager,
-                                          controller=host.recovery,
-                                          rate_tol=rate_tol):
-                    out.append((host_id, v.name, v.detail, v.time))
-            return out
         out = []
-        for result in self._backend.broadcast(
-                "deep_check", {"rate_tol": rate_tol,
-                               "exclude": sorted(excluded)}):
-            out.extend(result)
-        out.sort(key=lambda item: item[0])  # stable: host order only
+        for host_id, host in self.hosts():
+            if host_id in excluded:
+                continue
+            for v in check_invariants(host.network,
+                                      manager=host.manager,
+                                      controller=host.recovery,
+                                      rate_tol=rate_tol):
+                out.append((host_id, v.name, v.detail, v.time))
         return out
 
     # -- fault-model surface -------------------------------------------------
@@ -704,10 +486,6 @@ class Fleet:
     def degrade_host_links(self, host_id: str, factor: float) -> None:
         """Degrade every intra-host placement link to *factor* capacity
         (the fault injector's host-degrade primitive)."""
-        if self._backend is not None:
-            self._backend.call(host_id, "degrade_links", {
-                "host_id": host_id, "now": self.now, "factor": factor})
-            return
         host = self.host(host_id)
         injector = self._injectors.get(host_id)
         if injector is None:
@@ -722,10 +500,6 @@ class Fleet:
 
     def restore_host_links(self, host_id: str) -> None:
         """Clear a previous :meth:`degrade_host_links` on *host_id*."""
-        if self._backend is not None:
-            self._backend.call(host_id, "restore_links", {
-                "host_id": host_id, "now": self.now})
-            return
         self.host(host_id)  # raises UnknownHostError
         injector = self._injectors.get(host_id)
         if injector is not None:
@@ -734,30 +508,8 @@ class Fleet:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def worker_traces(self) -> Dict[int, list]:
-        """Each worker's raw tracer records (``{}`` when serial).
-
-        Fetched live while the workers are up; :meth:`shutdown` snapshots
-        them first when tracing is enabled, so a post-shutdown export
-        still sees the per-worker tracks.
-        """
-        if self._backend is None:
-            return {}
-        if not self._backend._shut_down:
-            self._worker_traces = self._backend.collect_traces()
-        return self._worker_traces or {}
-
     def shutdown(self) -> None:
-        """Shut down every host (recovery, retry, monitors, arbiters);
-        in parallel mode, stop the worker processes."""
-        if self._backend is not None:
-            if TRACER.enabled and not self._backend._shut_down:
-                try:
-                    self._worker_traces = self._backend.collect_traces()
-                except FleetError:
-                    pass  # a dead worker must not block teardown
-            self._backend.shutdown()
-            return
+        """Shut down every host (recovery, retry, monitors, arbiters)."""
         for _host_id, host in self.hosts():
             host.shutdown()
 

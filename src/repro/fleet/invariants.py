@@ -77,7 +77,7 @@ def check_fleet_invariants(
 
     # 1. Binding soundness: scheduler bindings vs per-host managers.
     #    ``placed_intents`` is the fleet-surface view of each manager's
-    #    placements, so the same audit runs against worker-held hosts.
+    #    placements.
     bindings = scheduler.bindings()
     placed = fleet.placed_intents()
     seen_on_hosts = {}

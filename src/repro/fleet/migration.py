@@ -27,7 +27,6 @@ parked for retry, or explicitly shed.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, TYPE_CHECKING
 
@@ -322,14 +321,6 @@ class MigrationPlanner:
             self.rescue(intent_id)
         if self.rebalance_threshold is not None:
             self._rebalance()
-
-    def tick(self) -> None:
-        """Deprecated: renamed :meth:`control` (clocks call that)."""
-        warnings.warn(
-            "MigrationPlanner.tick() is deprecated; use control()",
-            DeprecationWarning, stacklevel=2,
-        )
-        self.control()
 
     def _rebalance(self) -> None:
         """Move placements off the hottest host when the skew trips."""

@@ -22,7 +22,7 @@ from typing import (Dict, FrozenSet, List, Optional, Set, Tuple,
 
 from ..core.intents import PerformanceTarget
 from ..core.manager import Placement
-from ..errors import AdmissionError
+from ..errors import AdmissionError, FleetError
 from ..trace.recorder import TRACER
 from ..trace.spans import CAT_FLEET
 from .placement import PlacementPolicy, PlacementRequest, make_policy
@@ -75,12 +75,15 @@ class ClusterScheduler:
             production placer pays (probe the k most promising hosts, as
             sample-based cluster schedulers do) — under bounded probing
             the *ranking* decides the rejection rate, which is exactly
-            what ``bench_fleet_placement`` measures.
+            what ``bench_fleet_placement`` measures.  Must be >= 1.
     """
 
     def __init__(self, fleet: "Fleet",
                  policy: Union[str, PlacementPolicy] = "best-fit",
                  max_attempts: Optional[int] = None) -> None:
+        if max_attempts is not None and max_attempts < 1:
+            raise FleetError(
+                f"max_attempts must be >= 1 or None, got {max_attempts}")
         self.fleet = fleet
         self.telemetry = fleet.telemetry
         self.policy = make_policy(policy)
@@ -162,32 +165,24 @@ class ClusterScheduler:
         ]
         if self.max_attempts is not None:
             order = order[:self.max_attempts]
-        # Probe in ranked order, but batched: maximal runs of consecutive
-        # hosts owned by the same worker go out as one try_submit_seq op
-        # (one pipe round-trip instead of one per probed host).  Serially
-        # every host maps to the same (None) worker, so the whole ranking
-        # is one run and the loop below degenerates to the classic
-        # wake/try/notify sequence — the probe order, stop-at-first-
-        # success semantics, and per-host event histories are identical
-        # in both modes.
         fleet = self.fleet
-        index = 0
-        while index < len(order):
-            widx = fleet.worker_index(order[index])
-            end = index + 1
-            while end < len(order) and fleet.worker_index(order[end]) == widx:
-                end += 1
-            run = order[index:end]
-            attempts = [(host_id, fleet.remap_intent(intent, host_id))
-                        for host_id in run]
-            tried, placement = fleet.manager_try_submit_run(attempts)
-            self.probe_count += tried
-            if placement is not None:
-                host_id = run[tried - 1]
-                self._bind(intent, host_id)
-                self.telemetry.invalidate(host_id)
-                return FleetPlacement(host_id, placement), len(order)
-            index = end
+        for host_id in order:
+            self.probe_count += 1
+            # Probed hosts must be at fleet time so the reservation (and
+            # any deferred re-solve it schedules) is stamped "now", not
+            # at whatever time the host was last woken.
+            fleet.wake(host_id)
+            remapped = fleet.remap_intent(intent, host_id)
+            placement = fleet.manager_try_submit(host_id, remapped)
+            # Either outcome may have scheduled host events (arbiter
+            # enforcement after its decision latency, retry backoffs);
+            # they postdate the wake above, so re-notify the clock.
+            fleet.notify(host_id)
+            if placement is None:
+                continue
+            self._bind(intent, host_id)
+            self.telemetry.invalidate(host_id)
+            return FleetPlacement(host_id, placement), len(order)
         return None, len(order)
 
     def place(self, intent: PerformanceTarget,

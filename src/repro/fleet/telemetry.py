@@ -16,7 +16,7 @@ rate re-solves (:meth:`~repro.sim.network.FabricNetwork.on_recompute`),
 and the monitor's health verdicts — and marks the host *dirty*.
 :meth:`~FleetTelemetry.headroom` recomputes lazily on the next read, so a
 summary an external caller sees is always current; callers never choose
-when to refresh (the old ``refresh()``/``max_age`` surface is deprecated).
+when to refresh.
 
 For vectorized placement ranking the same summaries are exposed as a
 :class:`HeadroomMatrix` — per-host columns of the placement-relevant
@@ -33,7 +33,6 @@ vectors a datacenter-level placement policy actually consumes.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -247,20 +246,12 @@ class HeadroomMatrix:
 class FleetTelemetry:
     """Push-invalidated per-host :class:`HostHeadroom` rollups.
 
-    Args:
-        max_age: Deprecated and ignored.  Summaries are invalidated by
-            the events that change them (reservation changes, fabric
-            re-solves, monitor verdicts) and recomputed lazily on read.
+    Summaries are invalidated by the events that change them (reservation
+    changes, fabric re-solves, monitor verdicts) and recomputed lazily on
+    read.
     """
 
-    def __init__(self, max_age: Optional[float] = None) -> None:
-        if max_age is not None:
-            warnings.warn(
-                "FleetTelemetry(max_age=...) is deprecated and ignored: "
-                "summaries are push-invalidated and always current",
-                DeprecationWarning, stacklevel=2,
-            )
-        self.max_age = max_age
+    def __init__(self) -> None:
         self._hosts: Dict[str, Host] = {}
         self._cache: Dict[str, HostHeadroom] = {}
         self._dirty: Dict[str, bool] = {}
@@ -414,16 +405,6 @@ class FleetTelemetry:
         else:
             self._mark_dirty(host_id)
 
-    def refresh(self, host_id: str) -> HostHeadroom:
-        """Deprecated: summaries refresh themselves; read
-        :meth:`headroom` instead."""
-        warnings.warn(
-            "FleetTelemetry.refresh() is deprecated: summaries are "
-            "push-invalidated; call headroom() (always current)",
-            DeprecationWarning, stacklevel=2,
-        )
-        return self._refresh(host_id)
-
     def _refresh(self, host_id: str) -> HostHeadroom:
         """Recompute and cache one host's summary from ground truth."""
         try:
@@ -528,157 +509,19 @@ class FleetTelemetry:
         """Human-readable one-line-per-host rollup."""
         lines = [f"FleetTelemetry: {len(self._hosts)} hosts, "
                  f"{self.refresh_count} refreshes"]
-        lines.extend(_headroom_lines(self.headrooms()))
-        return "\n".join(lines)
-
-
-def _headroom_lines(summaries: Sequence[HostHeadroom]) -> List[str]:
-    """The per-host describe() lines both telemetry frontends share."""
-    lines = []
-    for summary in summaries:
-        flags = []
-        if summary.down_links:
-            flags.append(f"{summary.down_links} links down")
-        if summary.degraded_links:
-            flags.append(f"{summary.degraded_links} degraded")
-        if not summary.healthy:
-            flags.append("UNHEALTHY")
-        lines.append(
-            f"  {summary.host_id}: {summary.placements} placements, "
-            f"free(min/mean)={summary.free_fraction_min:.2f}/"
-            f"{summary.free_fraction_mean:.2f}, "
-            f"peak reserved={summary.reserved_peak:.2f}"
-            + (f" [{', '.join(flags)}]" if flags else "")
-        )
-    return lines
-
-
-class ParallelFleetTelemetry:
-    """The telemetry frontend of a process-parallel fleet.
-
-    Same read surface as :class:`FleetTelemetry` — ``headroom`` /
-    ``headrooms`` / ``matrix`` / ``set_fault`` / ``invalidate`` — but the
-    rollups are computed where the ground truth lives: each worker runs a
-    real :class:`FleetTelemetry` over its shard, and this frontend caches
-    the :class:`HostHeadroom` summaries parent-side, refetching only
-    hosts marked stale.
-
-    Staleness mirrors the serial push-invalidation exactly: every worker
-    reply piggybacks the hosts whose managers or fabrics changed during
-    the op (the same ``on_change``/``on_recompute`` signals the serial
-    rollup subscribes to), and the fleet's mutation sites call
-    :meth:`invalidate` explicitly just as they do serially.  A read
-    therefore sees summaries byte-equal to what the serial rollup would
-    compute at the same point — which is what keeps parallel placement
-    ranking bit-identical to serial.
-
-    Args:
-        backend: The fleet's :class:`~repro.fleet.parallel
-            .ParallelBackend` (duck-typed: needs ``worker_of``,
-            ``workers``, ``call``/``scatter``, and ``take_dirty``).
-    """
-
-    def __init__(self, backend) -> None:
-        self._backend = backend
-        self._host_ids: List[str] = sorted(backend.worker_of)
-        self._cache: Dict[str, HostHeadroom] = {}
-        self._dirty: set = set(self._host_ids)
-        self._faulted: set = set()
-        #: Summaries fetched from workers (the serial counter's analogue).
-        self.refresh_count = 0
-        self._version = 0
-        self._matrix: Optional[HeadroomMatrix] = None
-        self._matrix_version = -1
-
-    def host_ids(self) -> List[str]:
-        """Tracked host ids, sorted (the fleet's deterministic order)."""
-        return list(self._host_ids)
-
-    def _known(self, host_id: str) -> None:
-        if host_id not in self._backend.worker_of:
-            raise UnknownHostError(host_id)
-
-    def _pull(self) -> None:
-        """Absorb the dirty-host deltas accumulated on worker replies."""
-        self._dirty |= self._backend.take_dirty()
-
-    def _fetch(self, host_ids: Sequence[str]) -> None:
-        """Refetch summaries for *host_ids*, one scatter round-trip.
-
-        All owning workers compute their shard's summaries concurrently
-        (the payloads go out before any reply is awaited), instead of
-        the old one-blocking-round-trip-per-worker loop.
-        """
-        per_worker: Dict[int, List[str]] = {}
-        for host_id in host_ids:
-            widx = self._backend.worker_of[host_id]
-            per_worker.setdefault(widx, []).append(host_id)
-        results = self._backend.scatter(
-            "headrooms",
-            {widx: {"host_ids": shard_ids}
-             for widx, shard_ids in per_worker.items()})
-        for widx in sorted(per_worker):
-            fresh = results[widx]
-            self._cache.update(fresh)
-            self.refresh_count += len(fresh)
-        self._dirty.difference_update(host_ids)
-        self._version += 1
-
-    # -- the FleetTelemetry read surface -------------------------------------
-
-    def headroom(self, host_id: str) -> HostHeadroom:
-        """The current headroom summary of one host (always current)."""
-        self._known(host_id)
-        self._pull()
-        if host_id in self._dirty or host_id not in self._cache:
-            self._fetch([host_id])
-        return self._cache[host_id]
-
-    def headrooms(self) -> List[HostHeadroom]:
-        """Summaries for every host, in deterministic host-id order."""
-        self._pull()
-        stale = [host_id for host_id in self._host_ids
-                 if host_id in self._dirty or host_id not in self._cache]
-        if stale:
-            self._fetch(stale)
-        return [self._cache[host_id] for host_id in self._host_ids]
-
-    def matrix(self) -> HeadroomMatrix:
-        """Every host's summary as one :class:`HeadroomMatrix` (cached
-        until any summary changes)."""
-        summaries = self.headrooms()
-        if self._matrix is None or self._matrix_version != self._version:
-            self._matrix = HeadroomMatrix(summaries)
-            self._matrix_version = self._version
-        return self._matrix
-
-    def invalidate(self, host_id: Optional[str] = None) -> None:
-        """Mark one host (or all) stale, forcing a refetch on next read."""
-        if host_id is None:
-            self._dirty.update(self._host_ids)
-        elif host_id in self._backend.worker_of:
-            self._dirty.add(host_id)
-
-    def set_fault(self, host_id: str, faulted: bool) -> None:
-        """Mark *host_id* faulted (or clear the mark) — forwarded to the
-        owning worker's rollup, mirrored here for :meth:`is_faulted`."""
-        self._known(host_id)
-        if faulted:
-            self._faulted.add(host_id)
-        else:
-            self._faulted.discard(host_id)
-        self._backend.call(host_id, "set_fault",
-                           {"host_id": host_id, "faulted": faulted})
-        self._dirty.add(host_id)
-
-    def is_faulted(self, host_id: str) -> bool:
-        """Whether the fault model currently marks *host_id* faulted."""
-        return host_id in self._faulted
-
-    def describe(self) -> str:
-        """Human-readable one-line-per-host rollup."""
-        lines = [f"FleetTelemetry: {len(self._host_ids)} hosts across "
-                 f"{self._backend.workers} workers, "
-                 f"{self.refresh_count} summaries fetched"]
-        lines.extend(_headroom_lines(self.headrooms()))
+        for summary in self.headrooms():
+            flags = []
+            if summary.down_links:
+                flags.append(f"{summary.down_links} links down")
+            if summary.degraded_links:
+                flags.append(f"{summary.degraded_links} degraded")
+            if not summary.healthy:
+                flags.append("UNHEALTHY")
+            lines.append(
+                f"  {summary.host_id}: {summary.placements} placements, "
+                f"free(min/mean)={summary.free_fraction_min:.2f}/"
+                f"{summary.free_fraction_mean:.2f}, "
+                f"peak reserved={summary.reserved_peak:.2f}"
+                + (f" [{', '.join(flags)}]" if flags else "")
+            )
         return "\n".join(lines)

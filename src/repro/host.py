@@ -177,7 +177,7 @@ class Host:
         like resilience, to keep :class:`Host` import-light.  The
         probe's local burn-rate evaluation only runs when a listener is
         attached — i.e. when this host also runs a recovery controller;
-        fleet hosts leave evaluation to the parent-side
+        fleet hosts leave evaluation to the fleet-side
         :class:`~repro.slo.monitor.FleetSloMonitor`.
         """
         from .slo.probe import LatencyProbe, normalize_slo

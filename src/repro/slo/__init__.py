@@ -3,8 +3,8 @@
 The latency half of the paper's §3.1 monitoring questions: sampled
 in-situ probes on session hot paths (:class:`LatencyProbe`, riding each
 host's own engine), streaming mergeable per-tenant/per-path log-scale
-histograms (:class:`LatencyHistogram` — worker shards ship deltas, the
-fleet folds them bit-identically), declarative latency objectives with
+histograms (:class:`LatencyHistogram` — per-stream shards merge
+bit-identically by integer addition), declarative latency objectives with
 Google-SRE-style multi-window multi-burn-rate alerting
 (:class:`SloObjective`, :class:`BurnRateTracker`), and a fleet-side
 evaluation point (:class:`FleetSloMonitor`) whose alerts close the loop:

@@ -3,10 +3,10 @@
 The streaming substrate of the SLO subsystem ("Waiting at the front
 door" shows per-flow latency histograms are feasible at line rate; we
 keep their shape): a fixed geometric bucket ladder shared by every
-histogram in the fleet, so worker-side histograms merge into the fleet
+histogram in the fleet, so per-stream histograms merge into a fleet
 rollup by integer addition — no rebinning, no data-dependent bucket
-boundaries, and therefore bit-identical results whether samples were
-folded in one process or sharded across many.
+boundaries, and therefore bit-identical results however the samples
+were split across histograms before the merge.
 
 The ladder spans 1 ns to ~18 s in 64 doubling buckets: finer than any
 latency contrast the :mod:`repro.sim.latency` model produces, coarse
@@ -54,9 +54,10 @@ class LatencyHistogram:
 
     Mergeable by construction: every instance uses the module-level
     ladder, so :meth:`merge` is element-wise integer addition and the
-    result is independent of how samples were partitioned across
-    processes — the property the parallel backend's histogram-delta
-    protocol rests on (asserted by hypothesis in ``tests/test_slo.py``).
+    result is independent of how samples were partitioned into shards
+    — the property :meth:`~repro.slo.monitor.FleetSloMonitor.histogram`
+    rests on when it merges per-(tenant, path) streams into one scope
+    (asserted by hypothesis in ``tests/test_slo.py``).
     """
 
     __slots__ = ("counts", "total")

@@ -1,18 +1,16 @@
 """Fleet-side SLO evaluation over the merged probe-sample stream.
 
-:class:`FleetSloMonitor` is the parent-side fold point: per-host probes
-(running serially in-process or inside parallel workers) emit raw
-``(time, tenant, path, value)`` samples; ``Fleet.advance_to`` drains
-them — tagged with their host — into :meth:`ingest`, and
+:class:`FleetSloMonitor` is the fleet-side fold point: per-host probes
+emit raw ``(time, tenant, path, value)`` samples; ``Fleet.advance_to``
+drains them — tagged with their host — into :meth:`ingest`, and
 :meth:`evaluate` folds them into fleet-wide per-(tenant, path)
 histograms and per-(objective, host) burn-rate trackers.
 
 Determinism contract: samples are folded in sorted
 ``(time, host_id, tenant, path, value)`` order regardless of arrival
 order, so histogram state, anomaly streams, and the alert log are
-bit-identical between the serial and parallel backends (and across
-fleet-clock disciplines) for a seeded run — the property
-``tests/test_slo.py`` pins across 20 seeds.
+bit-identical across fleet-clock disciplines for a seeded run — the
+property ``tests/test_slo.py`` pins.
 
 Burn rates are tracked *per host* within each objective's scope: the
 alert that fires names the host burning budget, which is exactly the
@@ -49,7 +47,7 @@ class FleetSloMonitor:
         self.objectives: Tuple[SloObjective, ...] = tuple(objectives)
         self.keep_samples = keep_samples
         #: Every alert ever fired, in order — the audit log and the
-        #: cross-mode equivalence key.
+        #: cross-clock equivalence key.
         self.alerts: List[SloAlert] = []
         #: Latency anomalies surfaced into the monitor vocabulary.
         self.anomalies: List[Anomaly] = []
@@ -81,7 +79,7 @@ class FleetSloMonitor:
         """Fold buffered samples and fire due burn-rate alerts.
 
         Samples are sorted before folding so the result is independent
-        of arrival order (worker interleaving); alerts fire in sorted
+        of arrival order (drains run host by host); alerts fire in sorted
         (objective, host) order at time *now*.  Returns the new alerts.
 
         Only trackers that folded new samples this boundary are
@@ -91,7 +89,7 @@ class FleetSloMonitor:
         — between sample arrivals), and skipping idle trackers keeps
         per-boundary cost proportional to probe traffic, not fleet
         size.  The touched set derives from the sorted sample stream,
-        so the alert log stays bit-identical across backends.
+        so the alert log stays bit-identical across clock disciplines.
         """
         buffered = self._buffer
         self._buffer = []
@@ -193,7 +191,7 @@ class FleetSloMonitor:
 
     def signature(self) -> tuple:
         """Hashable (alerts, histograms) state — the bit-identical
-        serial/parallel equivalence key."""
+        cross-clock equivalence key."""
         return (
             tuple(self.alerts),
             tuple(sorted((key, hist.signature())

@@ -9,18 +9,16 @@ analytic :class:`~repro.sim.latency.LatencyModel` at the fabric's
 per-(tenant, path) :class:`~repro.slo.histogram.LatencyHistogram`
 buckets.
 
-Two consumption paths, matching the fleet's two execution modes:
+Two consumption paths:
 
 * the raw ``(time, tenant, path, value)`` samples accumulate in a delta
-  buffer drained by :meth:`take_delta` — serially by
-  ``Fleet.advance_to``, in parallel piggybacked on every worker reply
-  next to the dirty-host telemetry delta — and are folded fleet-side by
-  :class:`~repro.slo.monitor.FleetSloMonitor`;
+  buffer drained by :meth:`take_delta` — by ``Fleet.advance_to`` — and
+  are folded fleet-side by :class:`~repro.slo.monitor.FleetSloMonitor`;
 * when a listener is attached (a standalone managed host wiring alerts
   into its :class:`~repro.resilience.controller.RecoveryController`),
   the probe also evaluates its objectives' burn rates locally and fires
   :class:`~repro.slo.objective.SloAlert` callbacks itself.  Fleet
-  workers attach no listener, so they pay no tracker cost.
+  hosts attach no listener, so they pay no tracker cost.
 """
 
 from __future__ import annotations
@@ -179,7 +177,7 @@ class LatencyProbe:
         """Fire *listener* on every locally-evaluated burn-rate alert.
 
         Attaching a listener is what switches local evaluation on;
-        fleet workers never attach one (the fleet monitor evaluates
+        fleet hosts never attach one (the fleet monitor evaluates
         centrally over the merged stream instead).
         """
         self._listeners.append(listener)

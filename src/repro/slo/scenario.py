@@ -11,11 +11,9 @@ with headroom, and SLO attainment recovers — the paper's §3.1 "observe
 it, then manage it" loop at fleet scale.
 
 Deterministic by construction: the churn stream, degrade instants, and
-evaluation boundaries are identical for the serial and parallel
-backends and for both fleet-clock disciplines, so
-:meth:`LatencyRegressionReport.signature` is bit-identical across all
-of them for a given seed (pinned across 20 seeds in
-``tests/test_slo.py``).
+evaluation boundaries are identical for both fleet-clock disciplines,
+so :meth:`LatencyRegressionReport.signature` is bit-identical across
+them for a given seed (pinned in ``tests/test_slo.py``).
 """
 
 from __future__ import annotations
@@ -119,7 +117,7 @@ class LatencyRegressionReport:
     histogram_signature: tuple = ()
 
     def signature(self) -> tuple:
-        """The bit-identical cross-backend equivalence key."""
+        """The bit-identical cross-clock equivalence key."""
         return (
             self.alerts,
             self.slo_migrations,
@@ -166,7 +164,6 @@ class LatencyRegressionReport:
 def run_latency_regression(
     config: Optional[LatencyRegressionConfig] = None,
     *,
-    parallel: Optional[int] = None,
     clock: str = "event",
 ) -> LatencyRegressionReport:
     """Run one seeded regression scenario and report the closed loop."""
@@ -186,7 +183,7 @@ def run_latency_regression(
         message_size=config.message_size, keep_samples=True)
     fleet = Fleet(
         "cascade_lake_2s", hosts=config.hosts, policy="best-fit",
-        clock=clock, parallel=parallel, slo=slo,
+        clock=clock, slo=slo,
         slo_max_moves=config.max_moves)
     try:
         target = config.degrade_host or fleet.host_ids()[0]

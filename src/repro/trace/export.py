@@ -19,70 +19,18 @@ terminal, for environments without a browser.
 from __future__ import annotations
 
 import json
-from typing import IO, Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import IO, Any, Dict, List, Tuple, Union
 
 from .recorder import Tracer
-from .spans import KIND_COUNTER, KIND_INSTANT, KIND_SPAN, SpanRecord
+from .spans import SpanRecord
 
 #: Synthetic pid/tid for the single-process, single-threaded simulator.
 _PID = 1
 _TID = 1
 
 
-def _worker_events(widx: int,
-                   records: List[tuple]) -> List[Dict[str, Any]]:
-    """One fleet worker's raw tracer records as ``trace_event`` dicts.
-
-    Workers fork from the parent after ``TRACER.configure()`` so they
-    inherit its epoch (``CLOCK_MONOTONIC`` is process-shared on Linux):
-    their timestamps land on the same timeline as the parent's, and each
-    worker gets its own process track (pid ``2 + widx``).
-    """
-    pid = 2 + widx
-    events: List[Dict[str, Any]] = [
-        {"ph": "M", "pid": pid, "name": "process_name",
-         "args": {"name": f"worker-{widx}"}},
-        {"ph": "M", "pid": pid, "tid": _TID, "name": "thread_name",
-         "args": {"name": "sim"}},
-    ]
-    for r in records:
-        if r[0] == KIND_SPAN:
-            event: Dict[str, Any] = {
-                "ph": "X", "pid": pid, "tid": _TID,
-                "cat": r[1], "name": r[2],
-                "ts": r[3] * 1e6, "dur": r[4] * 1e6,
-            }
-            if r[7]:
-                event["args"] = dict(r[7])
-            events.append(event)
-        elif r[0] == KIND_INSTANT:
-            event = {
-                "ph": "i", "s": "t", "pid": pid, "tid": _TID,
-                "cat": r[1], "name": r[2], "ts": r[3] * 1e6,
-            }
-            if r[4]:
-                event["args"] = dict(r[4])
-            events.append(event)
-        elif r[0] == KIND_COUNTER:
-            events.append({
-                "ph": "C", "pid": pid, "cat": r[1], "name": r[2],
-                "ts": r[3] * 1e6, "args": {"value": r[4]},
-            })
-    return events
-
-
-def chrome_trace_events(
-    tracer: Tracer,
-    workers: Optional[Mapping[int, List[tuple]]] = None,
-) -> List[Dict[str, Any]]:
-    """The tracer's retained records as ``trace_event`` dicts.
-
-    Args:
-        tracer: The (parent-process) tracer.
-        workers: Optional ``{worker_index: raw_records}`` from a parallel
-            fleet (:meth:`repro.fleet.Fleet.worker_traces`); each worker
-            is rendered as its own process track.
-    """
+def chrome_trace_events(tracer: Tracer) -> List[Dict[str, Any]]:
+    """The tracer's retained records as ``trace_event`` dicts."""
     events: List[Dict[str, Any]] = [
         {"ph": "M", "pid": _PID, "name": "process_name",
          "args": {"name": "repro simulator"}},
@@ -124,19 +72,13 @@ def chrome_trace_events(
             "ts": sample.time * 1e6,
             "args": {"value": sample.value},
         })
-    if workers:
-        for widx in sorted(workers):
-            events.extend(_worker_events(widx, workers[widx]))
     return events
 
 
-def chrome_trace_dict(
-    tracer: Tracer,
-    workers: Optional[Mapping[int, List[tuple]]] = None,
-) -> Dict[str, Any]:
+def chrome_trace_dict(tracer: Tracer) -> Dict[str, Any]:
     """The full JSON-object form (``{"traceEvents": [...], ...}``)."""
     return {
-        "traceEvents": chrome_trace_events(tracer, workers=workers),
+        "traceEvents": chrome_trace_events(tracer),
         "displayTimeUnit": "ms",
         "otherData": {
             "recorded": tracer.records_recorded,
@@ -145,16 +87,13 @@ def chrome_trace_dict(
     }
 
 
-def write_chrome_trace(
-    tracer: Tracer,
-    destination: Union[str, IO[str]],
-    workers: Optional[Mapping[int, List[tuple]]] = None,
-) -> int:
+def write_chrome_trace(tracer: Tracer,
+                       destination: Union[str, IO[str]]) -> int:
     """Write the Perfetto-loadable JSON to a path or open text file.
 
     Returns the number of trace events written (metadata included).
     """
-    payload = chrome_trace_dict(tracer, workers=workers)
+    payload = chrome_trace_dict(tracer)
     if hasattr(destination, "write"):
         json.dump(payload, destination)
     else:

@@ -1,7 +1,5 @@
 """Analysis helpers: fairness, SLO compliance, capacity reports."""
 
-import warnings
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +7,6 @@ from hypothesis import strategies as st
 from repro.analysis import (
     capacity_report,
     evaluate_objective,
-    evaluate_slo,
     format_capacity_report,
     goodput_retention,
     isolation_scorecard,
@@ -104,32 +101,6 @@ class TestSlo:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             evaluate_objective([], SloObjective("o", 1.0))
-
-    def test_evaluate_slo_shim_warns_once_and_matches(self):
-        """The legacy entry point: exactly one DeprecationWarning, and
-        field-for-field agreement with evaluate_objective."""
-        samples = [1.0] * 98 + [10.0, 10.0]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = evaluate_slo(samples, slo=5.0)
-        deps = [w for w in caught
-                if issubclass(w.category, DeprecationWarning)]
-        assert len(deps) == 1, [str(w.message) for w in deps]
-        assert "evaluate_objective" in str(deps[0].message)
-        modern = evaluate_objective(samples, SloObjective("o", 5.0))
-        assert legacy.samples == modern.samples
-        assert legacy.compliance == modern.attainment
-        assert legacy.p99 == modern.achieved
-        assert legacy.worst == modern.worst
-        assert legacy.met == modern.met
-
-    def test_evaluate_slo_shim_rejects_bad_input(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError):
-                evaluate_slo([], slo=1.0)
-            with pytest.raises(ValueError):
-                evaluate_slo([1.0], slo=0.0)
 
     def test_violation_episodes(self):
         series = [(0.0, 100.0), (1.0, 50.0), (2.0, 50.0), (3.0, 100.0),

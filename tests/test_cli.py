@@ -179,6 +179,15 @@ def test_fleet_rejects_bad_hosts(capsys):
     assert "--hosts" in err
 
 
+@pytest.mark.parametrize("command", ["run", "replay", "describe"])
+@pytest.mark.parametrize("attempts", ["0", "-3"])
+def test_fleet_rejects_bad_max_attempts(capsys, command, attempts):
+    code, out, err = run_cli_err(capsys, "fleet", command, "--hosts", "8",
+                                 "--max-attempts", attempts)
+    assert code == 2
+    assert "--max-attempts" in err
+
+
 def test_fleet_requires_subcommand():
     with pytest.raises(SystemExit):
         main(["fleet"])

@@ -55,6 +55,18 @@ def test_rejects_bad_quantum_and_duplicate_and_empty_ids():
         Fleet("minimal", hosts=0)
 
 
+@pytest.mark.parametrize("quantum", [float("nan"), float("inf")])
+def test_rejects_non_finite_quantum(quantum):
+    with pytest.raises(FleetError, match="clock_quantum"):
+        Fleet("minimal", hosts=1, clock_quantum=quantum)
+
+
+@pytest.mark.parametrize("attempts", [0, -3])
+def test_rejects_max_attempts_below_one(attempts):
+    with pytest.raises(FleetError, match="max_attempts"):
+        Fleet("minimal", hosts=2, max_attempts=attempts)
+
+
 def test_unknown_host_raises():
     fleet = small_fleet()
     with pytest.raises(UnknownHostError):
@@ -62,15 +74,6 @@ def test_unknown_host_raises():
 
 
 # -- the fleet clock ---------------------------------------------------------
-
-
-def test_run_until_advances_every_host_to_fleet_time():
-    fleet = small_fleet(clock_quantum=0.001)
-    with pytest.deprecated_call():
-        fleet.run_until(0.0105)
-    assert fleet.now == pytest.approx(0.0105)
-    for _host_id, host in fleet.hosts():
-        assert host.now == pytest.approx(0.0105)
 
 
 def test_advance_to_rejects_going_backwards():
@@ -90,12 +93,6 @@ def test_planner_controls_once_per_quantum_boundary():
     assert len(boundaries) == 5  # 0.002, 0.004, ..., 0.010
 
 
-def test_planner_tick_shim_warns_and_delegates():
-    fleet = small_fleet()
-    with pytest.deprecated_call():
-        fleet.planner.tick()
-
-
 def test_event_clock_leaves_idle_hosts_behind_until_woken():
     fleet = small_fleet(clock="event")
     fleet.advance_to(0.02)
@@ -110,13 +107,6 @@ def test_event_clock_leaves_idle_hosts_behind_until_woken():
 def test_unknown_clock_name_rejected():
     with pytest.raises(FleetError, match="unknown fleet clock"):
         small_fleet(clock="metronome")
-
-
-def test_telemetry_max_age_is_deprecated_and_ignored():
-    with pytest.deprecated_call():
-        fleet = small_fleet(telemetry_max_age=0.5)
-    # Ignored: the rollup is push-invalidated, no staleness window kept.
-    assert fleet.telemetry.max_age is None
 
 
 # -- remapping ---------------------------------------------------------------
@@ -165,3 +155,4 @@ def test_shutdown_stops_resilient_hosts():
         assert host.recovery is not None
     fleet.advance_to(0.01)
     fleet.shutdown()
+    fleet.shutdown()  # idempotent: a second call is a no-op
