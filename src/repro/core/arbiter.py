@@ -32,6 +32,7 @@ dip-free, but it strands every idle guarantee (the E6/E9 trade-off).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -111,20 +112,24 @@ def compute_caps(
     allowance = capacity * _RAMP_ALLOWANCE_FRACTION
     tenants = set(floors) | set(best_effort)
 
-    caps: Dict[str, float] = {}
+    caps: Dict[str, float]
     if (work_conserving and demand_aware and tenants
             and not any(usages.values())):
         # All-idle fast path: every floor is parked and every demand
         # estimate collapses to the ramp allowance, so the water-fill
-        # reduces to an equal split of the (lent) spare.
+        # reduces to an equal split of the (lent) spare.  Every tenant
+        # without a floor holds the same cap, so the tenant set is filled
+        # with it in one step and only the floor-holders are overwritten.
         if lend_parked_floors:
             spare += reserved
         share = spare / len(tenants)
-        for tenant in tenants:
-            caps[tenant] = floors.get(tenant, 0.0) + share
-        for tenant in best_effort:
-            caps[tenant] = max(caps[tenant], allowance)
+        caps = dict.fromkeys(tenants, max(0.0 + share, allowance))
+        for tenant, floor in floors.items():
+            cap = floor + share
+            caps[tenant] = (max(cap, allowance) if tenant in best_effort
+                            else cap)
         return caps
+    caps = {}
     if not work_conserving:
         for tenant, floor in floors.items():
             caps[tenant] = floor
@@ -219,9 +224,10 @@ class DynamicArbiter:
 
     Args:
         network: The fabric to control.
-        period: Adjustment period (seconds).
+        period: Adjustment period (seconds, finite and > 0).
         decision_latency: Sense-decide-program delay before newly computed
-            caps take effect (seconds) — §3.2 Q3's knob.
+            caps take effect (seconds, finite and >= 0) — §3.2 Q3's knob.
+            At 0 the caps apply within the round that computed them.
         work_conserving: Allocation mode (see :func:`compute_caps`).
     """
 
@@ -235,10 +241,11 @@ class DynamicArbiter:
         demand_aware: bool = True,
         degradation_aware: bool = False,
     ) -> None:
-        if period <= 0:
-            raise ArbiterError(f"period must be > 0, got {period}")
-        if decision_latency < 0:
-            raise ArbiterError("decision_latency must be >= 0")
+        if not (math.isfinite(period) and period > 0):
+            raise ArbiterError(f"period must be finite and > 0, got {period}")
+        if not (math.isfinite(decision_latency) and decision_latency >= 0):
+            raise ArbiterError(f"decision_latency must be finite and >= 0, "
+                               f"got {decision_latency}")
         self.network = network
         self.period = period
         self.decision_latency = decision_latency
@@ -260,7 +267,8 @@ class DynamicArbiter:
         self._ceilings: Dict[str, Dict[str, float]] = {}
         self._best_effort: Set[str] = set()
         self._task: Optional[PeriodicTask] = None
-        self._capped: Set[tuple] = set()
+        # (link, direction) -> tenants whose caps this arbiter installed.
+        self._capped: Dict[Tuple[str, str], Set[str]] = {}
         # Event-driven cadence: once a round quiesces (skipped — nothing
         # can have changed), the periodic task parks itself; any fabric
         # re-solve or configuration change re-arms it.  An idle host thus
@@ -321,8 +329,9 @@ class DynamicArbiter:
         direction; without it, the guarantee is installed in both
         directions (bidirectional intents, simple callers).
         """
-        if bandwidth <= 0:
-            raise ArbiterError("floor bandwidth must be > 0")
+        if not (math.isfinite(bandwidth) and bandwidth > 0):
+            raise ArbiterError(f"floor bandwidth must be finite and > 0, "
+                               f"got {bandwidth}")
         self.network.topology.link(link_id)  # validate
         self._config_changed()
         for key in self._floor_keys(link_id, direction):
@@ -469,9 +478,10 @@ class DynamicArbiter:
         self._park()
         if lift_caps:
             with self.network.batch():
-                for tenant_id, link_id, direction in list(self._capped):
-                    self.network.clear_tenant_link_cap(tenant_id, link_id,
-                                                       direction=direction)
+                for (link_id, direction), tenants in self._capped.items():
+                    for tenant_id in tenants:
+                        self.network.clear_tenant_link_cap(
+                            tenant_id, link_id, direction=direction)
             self._capped.clear()
             self._emitted_sig.clear()
             self._emitted_caps.clear()
@@ -518,7 +528,9 @@ class DynamicArbiter:
             self._park()
             return self.last_allocations
         allocations: List[LinkAllocation] = []
-        pending: List[tuple] = []
+        # One (link, direction, {tenant: cap}) entry per directed link
+        # whose caps moved, in emission order.
+        pending: List[Tuple[str, str, Dict[str, float]]] = []
         # On a fabric with no live flows every usage reading is zero; any
         # nonzero rate can only change when the fabric re-solves, so the
         # recompute counter stands in for all usage state.
@@ -590,16 +602,18 @@ class DynamicArbiter:
             if self._emitted_sig.get(key) != sig:
                 self._emitted_sig[key] = sig
                 emitted = self._emitted_caps.setdefault(key, {})
-                for tenant, cap in caps.items():
-                    # Within a changed link, most tenants usually keep the
-                    # same cap (equal shares of an unchanged pool); only
-                    # program the ones that actually moved.
-                    if emitted.get(tenant) != cap:
-                        emitted[tenant] = cap
-                        pending.append((tenant, link_id, direction, cap))
+                # Within a changed link, most tenants usually keep the
+                # same cap (equal shares of an unchanged pool); only
+                # program the ones that actually moved.
+                moved = {tenant: cap for tenant, cap in caps.items()
+                         if emitted.get(tenant) != cap}
+                if moved:
+                    emitted.update(moved)
+                    pending.append((link_id, direction, moved))
         dirty_keys.clear()
         self._last_round_globals = round_globals
 
+        quiesced: Optional[tuple] = None
         if pending:
             if self.decision_latency > 0:
                 self.network.engine.schedule_in(
@@ -609,22 +623,33 @@ class DynamicArbiter:
                 )
             else:
                 self._apply(pending)
+                if self.network.active_flows():
+                    # The caps just installed re-solved live flows whose
+                    # new rates this round never sensed: quiesce on the
+                    # pre-apply inputs so the next round senses them
+                    # (and reclaims any floor lent out meanwhile).
+                    quiesced = fingerprint
         self.last_allocations = allocations
-        # Snapshot taken *after* any synchronous apply: if the caps this
-        # round installed changed nothing (or once a delayed apply turns
-        # out to be a no-op next round), the fingerprint stabilizes and
-        # subsequent rounds skip until some input actually moves.
-        self._quiesced_state = self._input_fingerprint()
+        # Otherwise the snapshot is taken *after* any synchronous apply:
+        # on a flowless fabric the caps cannot move any reading, and once
+        # a delayed apply turns out to be a no-op next round the
+        # fingerprint stabilizes, so subsequent rounds skip until some
+        # input actually moves.
+        self._quiesced_state = (quiesced if quiesced is not None
+                                else self._input_fingerprint())
         return allocations
 
-    def _apply(self, batch: List[tuple]) -> None:
+    def _apply(self, batch: List[Tuple[str, str, Dict[str, float]]]
+               ) -> None:
         # One enforcement round programs every cap in a single fabric
-        # re-solve; the incremental solver then only re-solves the
-        # components whose caps actually changed since last round.
+        # re-solve, one fabric call per directed link; the incremental
+        # solver then only re-solves the components whose caps actually
+        # changed since last round.
         if TRACER.enabled:
             TRACER.begin("arbiter", "enforce", {
-                "caps": len(batch),
-                "tenants": len({entry[0] for entry in batch}),
+                "caps": sum(len(caps) for _, _, caps in batch),
+                "tenants": len({tenant for _, _, caps in batch
+                                for tenant in caps}),
             })
         # Flush any recompute other components queued before this apply so
         # their listeners (including our own re-arm) run un-suppressed.
@@ -632,10 +657,11 @@ class DynamicArbiter:
         self._applying = True
         try:
             with self.network.batch():
-                for tenant, link_id, direction, cap in batch:
-                    self.network.set_tenant_link_cap(tenant, link_id, cap,
-                                                     direction=direction)
-                    self._capped.add((tenant, link_id, direction))
+                for link_id, direction, caps in batch:
+                    self.network.set_link_caps(link_id, caps,
+                                               direction=direction)
+                    self._capped.setdefault((link_id, direction),
+                                            set()).update(caps)
             if (before == self._quiesced_state
                     and not self.network.active_flows()):
                 # The only thing that moved since the decide round is our
@@ -660,26 +686,33 @@ class DynamicArbiter:
                 TRACER.end()
 
     def _lift_tenant_caps(self, tenant_id: str) -> None:
-        stale = [key for key in self._capped if key[0] == tenant_id]
+        stale = [key for key, tenants in self._capped.items()
+                 if tenant_id in tenants]
         with self.network.batch():
-            for tenant, link_id, direction in stale:
-                self.network.clear_tenant_link_cap(tenant, link_id,
+            for key in stale:
+                link_id, direction = key
+                self.network.clear_tenant_link_cap(tenant_id, link_id,
                                                    direction=direction)
-                self._capped.discard((tenant, link_id, direction))
+                tenants = self._capped[key]
+                tenants.discard(tenant_id)
+                if not tenants:
+                    del self._capped[key]
                 # Caps were cleared behind the emission tracking: the next
                 # round must re-program this link even if its inputs are
                 # otherwise unchanged.
-                self._emitted_sig.pop((link_id, direction), None)
-                self._emitted_caps.get((link_id, direction), {}).pop(
-                    tenant, None)
+                self._emitted_sig.pop(key, None)
+                self._emitted_caps.get(key, {}).pop(tenant_id, None)
 
     def lift_link_caps(self, link_id: str) -> None:
         """Lift every cap on *link_id* (after its last floor is released)."""
-        stale = [key for key in self._capped if key[1] == link_id]
         with self.network.batch():
-            for tenant, link, direction in stale:
-                self.network.clear_tenant_link_cap(tenant, link,
-                                                   direction=direction)
-                self._capped.discard((tenant, link, direction))
-                self._emitted_sig.pop((link, direction), None)
-                self._emitted_caps.pop((link, direction), None)
+            for direction in ("fwd", "rev"):
+                key = (link_id, direction)
+                tenants = self._capped.pop(key, None)
+                if tenants is None:
+                    continue
+                for tenant_id in tenants:
+                    self.network.clear_tenant_link_cap(tenant_id, link_id,
+                                                       direction=direction)
+                self._emitted_sig.pop(key, None)
+                self._emitted_caps.pop(key, None)

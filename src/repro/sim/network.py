@@ -281,30 +281,51 @@ class FabricNetwork:
         tenant's aggregate over both directions.  Directional and
         aggregate caps may coexist (the solver honours all of them).
         """
+        self.set_link_caps(link_id, {tenant_id: cap}, direction=direction)
+
+    def set_link_caps(self, link_id: str, caps: Dict[str, float],
+                      direction: Optional[str] = None) -> None:
+        """Cap several tenants' rates on one link (bytes/s) at once.
+
+        Equivalent to one :meth:`set_tenant_link_cap` per ``(tenant, cap)``
+        entry, in *caps* order, inside :meth:`batch`: the link and the
+        direction are validated once, each cap whose value changed is
+        installed, and at most one re-solve is requested.  A cap that
+        fails its check raises ``ValueError`` after the entries before it
+        were installed (and their re-solve requested).
+        """
         if link_id not in self._link_bytes:
             raise UnknownLinkError(link_id)
-        if cap < 0:
-            raise ValueError(f"cap must be >= 0, got {cap}")
         if direction not in (None, FORWARD, REVERSE):
             raise ValueError(f"direction must be fwd/rev/None, "
                              f"got {direction!r}")
-        key = (tenant_id, link_id, direction)
-        if self._tenant_link_caps.get(key) == cap:
-            # Re-asserting the exact cap would rebuild an identical
-            # constraint and force a full re-solve; the arbiter re-asserts
-            # every cap each round, so this no-op skip is what lets the
-            # fabric (and the arbiter's quiescence check) settle.
-            return
-        self._tenant_link_caps[key] = cap
-        if self._flows:
-            self._install_cap_constraint(key)
-        else:
-            # No flows: the cap binds nothing, so its membership is empty
-            # and the solver constraint is already absent (flows leaving
-            # the fabric drop themselves from every membership).  It is
-            # (re)installed by _caps_track_flow when a flow arrives.
-            self._cap_members.pop(key, None)
-        self._recompute()
+        installed = self._tenant_link_caps
+        changed = False
+        try:
+            for tenant_id, cap in caps.items():
+                if not cap >= 0:  # also rejects NaN
+                    raise ValueError(f"cap must be >= 0, got {cap}")
+                key = (tenant_id, link_id, direction)
+                if installed.get(key) == cap:
+                    # Re-asserting the exact cap would rebuild an identical
+                    # constraint and force a full re-solve; this no-op
+                    # skip is what lets the fabric (and the arbiter's
+                    # quiescence check) settle.
+                    continue
+                installed[key] = cap
+                changed = True
+                if self._flows:
+                    self._install_cap_constraint(key)
+                else:
+                    # No flows: the cap binds nothing, so its membership
+                    # is empty and the solver constraint is already absent
+                    # (flows leaving the fabric drop themselves from every
+                    # membership).  It is (re)installed by
+                    # _caps_track_flow when a flow arrives.
+                    self._cap_members.pop(key, None)
+        finally:
+            if changed:
+                self._recompute()
 
     def clear_tenant_link_cap(self, tenant_id: str, link_id: str,
                               direction: Optional[str] = None) -> None:
@@ -636,6 +657,11 @@ class FabricNetwork:
 
     def _solve(self) -> None:
         """Re-solve dirty components and push rates onto the flows."""
+        if not self._flows:
+            # No flow has a rate to re-solve.  Capacity changes reach the
+            # solver at the next solve with flows, which refreshes every
+            # input first.
+            return
         self._refresh_solver_inputs()
         rates = self._solver.solve()
         for f in self._flows.values():

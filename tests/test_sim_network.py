@@ -1,11 +1,14 @@
 """FabricNetwork: flow lifecycle, fairness, accounting, failures."""
 
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import FlowError, UnknownLinkError
-from repro.sim import FabricNetwork, FlowState
-from repro.topology import shortest_path
+from repro.sim import Engine, FabricNetwork, FlowState
+from repro.topology import cascade_lake_2s, shortest_path
 from repro.units import Gbps
 
 
@@ -158,10 +161,84 @@ class TestCapsAndWeights:
 
     def test_invalid_cap_rejected(self, minimal_net):
         net = minimal_net
-        with pytest.raises(ValueError):
-            net.set_tenant_link_cap("t", "pcie-nic0", -1.0)
+        flow = net.start_transfer("t", path_of(net, "nic0", "dimm0-0"))
+        for cap in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                net.set_tenant_link_cap("t", "pcie-nic0", cap)
+            with pytest.raises(ValueError):
+                net.set_link_caps("pcie-nic0", {"t": cap})
         with pytest.raises(UnknownLinkError):
             net.set_tenant_link_cap("t", "ghost", 1.0)
+        assert net.tenant_link_cap("t", "pcie-nic0") is None
+        assert flow.current_rate == pytest.approx(Gbps(256), rel=1e-6)
+
+
+_CAP_VALUES = st.sampled_from([0.0, Gbps(2), Gbps(8), Gbps(16), math.inf])
+_CAP_TENANTS = st.sampled_from(["a", "b", "c", "d"])
+
+
+def _capped_net(with_flows, initial, direction):
+    """A fresh fabric with *initial* caps on pcie-nic0 and, optionally,
+    flows of every tenant across it in both directions."""
+    net = FabricNetwork(cascade_lake_2s(), Engine())
+    if with_flows:
+        for tenant in ("a", "b", "c", "d", "e"):
+            net.start_transfer(tenant, path_of(net, "nic0", "dimm0-0"))
+            net.start_transfer(tenant, path_of(net, "dimm0-0", "nic0"),
+                               demand=Gbps(40))
+    with net.batch():
+        for tenant, cap in initial.items():
+            net.set_tenant_link_cap(tenant, "pcie-nic0", cap,
+                                    direction=direction)
+    return net
+
+
+def _fabric_state(net):
+    return (list(net._tenant_link_caps.items()), net.recompute_count,
+            [(f.flow_id, f.current_rate) for f in net.active_flows()])
+
+
+class TestLinkCaps:
+    """One per-link call equals one per-tenant call per entry in a batch."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        with_flows=st.booleans(),
+        initial=st.dictionaries(_CAP_TENANTS, _CAP_VALUES),
+        update=st.dictionaries(st.sampled_from(["a", "b", "c", "d", "e"]),
+                               _CAP_VALUES),
+        direction=st.sampled_from([None, "fwd", "rev"]),
+    )
+    def test_matches_per_tenant_calls_in_a_batch(self, with_flows, initial,
+                                                 update, direction):
+        reference = _capped_net(with_flows, initial, direction)
+        per_link = _capped_net(with_flows, initial, direction)
+        with reference.batch():
+            for tenant, cap in update.items():
+                reference.set_tenant_link_cap(tenant, "pcie-nic0", cap,
+                                              direction=direction)
+        per_link.set_link_caps("pcie-nic0", update, direction=direction)
+        assert _fabric_state(per_link) == _fabric_state(reference)
+        # Re-asserting the same caps changes nothing and does not re-solve.
+        before = _fabric_state(per_link)
+        per_link.set_link_caps("pcie-nic0", update, direction=direction)
+        assert _fabric_state(per_link) == before
+
+    @pytest.mark.parametrize("with_flows", [False, True])
+    def test_partial_failure_matches_per_tenant_calls(self, with_flows):
+        update = {"a": Gbps(8), "b": math.nan, "c": Gbps(4)}
+        reference = _capped_net(with_flows, {"c": Gbps(2)}, "rev")
+        per_link = _capped_net(with_flows, {"c": Gbps(2)}, "rev")
+        with pytest.raises(ValueError):
+            with reference.batch():
+                for tenant, cap in update.items():
+                    reference.set_tenant_link_cap(tenant, "pcie-nic0", cap,
+                                                  direction="rev")
+        with pytest.raises(ValueError):
+            per_link.set_link_caps("pcie-nic0", update, direction="rev")
+        assert _fabric_state(per_link) == _fabric_state(reference)
+        assert per_link.tenant_link_cap("a", "pcie-nic0", "rev") == Gbps(8)
+        assert per_link.tenant_link_cap("c", "pcie-nic0", "rev") == Gbps(2)
 
 
 class TestAccounting:
