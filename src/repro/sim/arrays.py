@@ -256,7 +256,6 @@ class InternedProblem:
         self.rates = np.zeros(self._GROW)
 
         self._cons_slots: Dict[str, int] = {}
-        self._cons_ids: List[Optional[str]] = []
         self._free_cons_slots: List[int] = []
         self.caps = np.zeros(self._GROW)
 
@@ -289,10 +288,9 @@ class InternedProblem:
         if slot is None:
             if self._free_cons_slots:
                 slot = self._free_cons_slots.pop()
-                self._cons_ids[slot] = cid
             else:
-                slot = len(self._cons_ids)
-                self._cons_ids.append(cid)
+                # No slot is free, so every allocated slot is live.
+                slot = len(self._cons_slots)
                 if slot >= len(self.caps):
                     self.caps = np.resize(self.caps, max(2 * len(self.caps), slot + 1))
             self._cons_slots[cid] = slot
@@ -313,7 +311,6 @@ class InternedProblem:
         """Forget a (by contract unused) physical constraint."""
         slot = self._cons_slots.pop(cid, None)
         if slot is not None:
-            self._cons_ids[slot] = None
             self._free_cons_slots.append(slot)
             self._bump()
 
@@ -461,34 +458,6 @@ class InternedProblem:
         rates = _fill_arrays(w, d, caps_local, edge_flow, edge_cons, edge_mult)
         self.rates[slots] = rates
         return rates.tolist()
-
-    def constraint_usage(
-        self,
-        fids: Sequence[str],
-        virtual_edges: Sequence[Tuple[str, Sequence[str]]],
-    ) -> Dict[str, float]:
-        """Per-constraint carried rate under the current rate vector.
-
-        One ``bincount`` over the cached full incidence replaces the
-        per-flow/per-hop Python accumulation the bulk network queries
-        used to do.
-        """
-        slots, _w, _d, _caps, edge_flow, edge_cons, edge_mult, ucons = (
-            self._gather_full(fids, virtual_edges)
-        )
-        if not len(ucons):
-            return {}
-        local_rates = self.rates[slots]
-        usage = np.bincount(
-            edge_cons,
-            weights=local_rates[edge_flow] * edge_mult,
-            minlength=len(ucons),
-        )
-        return {
-            self._cons_ids[slot]: float(usage[i])
-            for i, slot in enumerate(ucons.tolist())
-        }
-
 
 class NullInternedProblem:
     """Inert stand-in used when numpy is unavailable.

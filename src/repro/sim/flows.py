@@ -59,12 +59,14 @@ class Flow:
     finished_at: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.size is not None and self.size <= 0:
+        # Negated comparisons so that NaN fails each check too.
+        if self.size is not None and not self.size > 0:
             raise FlowError(f"flow {self.flow_id!r}: size must be > 0 or None")
-        if self.demand < 0:
+        if not self.demand >= 0:
             raise FlowError(f"flow {self.flow_id!r}: demand must be >= 0")
-        if self.weight <= 0:
-            raise FlowError(f"flow {self.flow_id!r}: weight must be > 0")
+        if not 0 < self.weight < math.inf:
+            raise FlowError(
+                f"flow {self.flow_id!r}: weight must be finite and > 0")
 
     @property
     def effective_demand(self) -> float:

@@ -80,7 +80,13 @@ class FabricNetwork:
         self.coalesce_recompute = coalesce_recompute
 
         self._flows: Dict[str, Flow] = {}
+        # Each active flow's hops as (link_id, direction) pairs, and the
+        # same hops as the solver's directed constraint ids.
+        self._flow_hops: Dict[str, Tuple[Tuple[str, str], ...]] = {}
         self._directed_links: Dict[str, Tuple[str, ...]] = {}
+        # Rate sums the readers look up, built on the first read after
+        # the rates, the flow set or a path changed (see _rate_sums).
+        self._rate_index: Optional[Dict[tuple, float]] = None
         self._flow_seq = itertools.count()
         self._last_sync = engine.now
         self._completion_event: Optional[Event] = None
@@ -88,10 +94,12 @@ class FabricNetwork:
         # The resident incremental solver: flow/constraint mutations mark
         # components dirty; _solve() re-solves only those.
         self._solver = IncrementalMaxMinSolver(array_crossover=array_crossover)
+        # Each link's capacity as last pushed into the solver (both
+        # directions), so a re-solve writes only the ones that changed.
+        self._pushed_capacity: Dict[str, float] = {}
         for link_id in topology.link_ids():
-            cap = topology.link(link_id).effective_capacity
-            self._solver.set_capacity(directed_id(link_id, FORWARD), cap)
-            self._solver.set_capacity(directed_id(link_id, REVERSE), cap)
+            self._push_capacity(link_id,
+                                topology.link(link_id).effective_capacity)
         # Cached membership of each tenant-cap virtual constraint, so flow
         # add/remove maintains it in O(caps-of-tenant) instead of O(flows).
         self._cap_members: Dict[Tuple[str, str, Optional[str]], Set[str]] = {}
@@ -139,7 +147,7 @@ class FabricNetwork:
         flow.state = FlowState.ACTIVE
         flow.created_at = flow.created_at or self.engine.now
         flow.started_at = self.engine.now
-        self._directed_links[flow.flow_id] = self._direct_path(flow.path)
+        self._place_flow(flow)
         self._flows[flow.flow_id] = flow
         self._solver_set_flow(flow)
         self._caps_track_flow(flow, active=True)
@@ -179,10 +187,7 @@ class FabricNetwork:
         flow.state = FlowState.CANCELLED
         flow.finished_at = self.engine.now
         flow.current_rate = 0.0
-        self._caps_track_flow(flow, active=False)
-        del self._flows[flow_id]
-        del self._directed_links[flow_id]
-        self._solver.remove_flow(flow_id)
+        self._drop_flow(flow)
         self._recompute()
         return flow
 
@@ -256,7 +261,7 @@ class FabricNetwork:
         self._sync()
         self._caps_track_flow(flow, active=False)
         flow.path = path
-        self._directed_links[flow_id] = self._direct_path(path)
+        self._place_flow(flow)
         self._solver_set_flow(flow)
         self._caps_track_flow(flow, active=True)
         self._recompute()
@@ -266,8 +271,9 @@ class FabricNetwork:
 
     def set_tenant_weight(self, tenant_id: str, weight: float) -> None:
         """Set the fairness weight multiplier for a tenant's flows."""
-        if weight <= 0:
-            raise ValueError(f"tenant weight must be > 0, got {weight}")
+        if not 0 < weight < math.inf:
+            raise ValueError(
+                f"tenant weight must be finite and > 0, got {weight}")
         self._tenant_weights[tenant_id] = weight
         self._recompute()
 
@@ -349,7 +355,7 @@ class FabricNetwork:
     def set_flow_demand(self, flow_id: str, demand: float) -> None:
         """Change a flow's offered load (bytes/s) and re-solve."""
         flow = self._active_flow(flow_id)
-        if demand < 0:
+        if not demand >= 0:  # also rejects NaN
             raise ValueError(f"demand must be >= 0, got {demand}")
         flow.demand = demand
         self._recompute()
@@ -357,7 +363,7 @@ class FabricNetwork:
     def set_flow_rate_cap(self, flow_id: str, cap: float) -> None:
         """Cap one flow's rate (bytes/s); ``inf`` removes the cap."""
         flow = self._active_flow(flow_id)
-        if cap < 0:
+        if not cap >= 0:  # also rejects NaN
             raise ValueError(f"cap must be >= 0, got {cap}")
         flow.rate_cap = cap
         self._recompute()
@@ -374,6 +380,10 @@ class FabricNetwork:
                      degraded_capacity: Optional[float]) -> None:
         """Silently degrade (or restore with ``None``) a link's capacity."""
         link = self.topology.link(link_id)
+        if degraded_capacity is not None and not degraded_capacity >= 0:
+            raise ValueError(
+                f"degraded capacity must be >= 0 or None, "
+                f"got {degraded_capacity}")
         link.degraded_capacity = degraded_capacity
         self._recompute()
 
@@ -389,15 +399,6 @@ class FabricNetwork:
 
     # -- queries --------------------------------------------------------------
 
-    def _direct_path(self, path: Path) -> Tuple[str, ...]:
-        """Directed constraint ids for each hop of *path*."""
-        directed = []
-        for i, link_id in enumerate(path.links):
-            link = self.topology.link(link_id)
-            direction = FORWARD if path.devices[i] == link.src else REVERSE
-            directed.append(directed_id(link_id, direction))
-        return tuple(directed)
-
     def link_rate(self, link_id: str, direction: Optional[str] = None) -> float:
         """Instantaneous rate on *link_id* (bytes/s).
 
@@ -407,17 +408,7 @@ class FabricNetwork:
         if link_id not in self._link_bytes:
             raise UnknownLinkError(link_id)
         self.flush_recompute()
-        if direction is None:
-            wanted = {directed_id(link_id, FORWARD),
-                      directed_id(link_id, REVERSE)}
-        else:
-            wanted = {directed_id(link_id, direction)}
-        total = 0.0
-        for f in self._flows.values():
-            directed = self._directed_links[f.flow_id]
-            hits = sum(1 for d in directed if d in wanted)
-            total += f.current_rate * hits
-        return total
+        return self._rate_sums().get((link_id, direction), 0.0)
 
     def link_utilization(self, link_id: str) -> float:
         """Instantaneous utilization of *link_id* in [0, 1].
@@ -425,9 +416,13 @@ class FabricNetwork:
         Links are full duplex; utilization is the *busier direction's*
         share of per-direction capacity, which is what drives queueing.
         """
+        if link_id not in self._link_bytes:
+            raise UnknownLinkError(link_id)
         cap = self.topology.link(link_id).effective_capacity
-        busiest = max(self.link_rate(link_id, FORWARD),
-                      self.link_rate(link_id, REVERSE))
+        self.flush_recompute()
+        sums = self._rate_sums()
+        busiest = max(sums.get((link_id, FORWARD), 0.0),
+                      sums.get((link_id, REVERSE), 0.0))
         if cap <= 0:
             return 1.0 if busiest > 0 else 0.0
         return min(busiest / cap, 1.0)
@@ -439,18 +434,15 @@ class FabricNetwork:
 
         Like the other rate queries, this flushes any pending coalesced
         re-solve first, so a burst of same-instant flow events can never
-        yield stale utilizations.  Per-direction rates come straight from
-        the solver's interned incidence state
-        (:meth:`~repro.sim.solver.IncrementalMaxMinSolver.constraint_usage`,
-        one vectorized segment-sum when numpy is available) instead of a
-        python sweep over every flow's hops.  With ``clamp`` (the
+        yield stale utilizations, and it reads the same rate sums, so each
+        value equals :meth:`link_utilization`'s.  With ``clamp`` (the
         default) values are capped at 1.0; ``clamp=False`` exposes
         oversubscription.  ``only=`` restricts the result to the given
         link ids (the latency probe asks for just its sampled paths'
         links); values are identical to the unrestricted query's.
         """
         self.flush_recompute()
-        directed_rates = self._solver.constraint_usage()
+        sums = self._rate_sums()
         utilizations: Dict[str, float] = {}
         if only is None:
             wanted: Iterable[str] = self._link_bytes
@@ -460,10 +452,8 @@ class FabricNetwork:
                 if link_id not in self._link_bytes:
                     raise UnknownLinkError(link_id)
         for link_id in wanted:
-            busiest = max(
-                directed_rates.get(directed_id(link_id, FORWARD), 0.0),
-                directed_rates.get(directed_id(link_id, REVERSE), 0.0),
-            )
+            busiest = max(sums.get((link_id, FORWARD), 0.0),
+                          sums.get((link_id, REVERSE), 0.0))
             cap = self.topology.link(link_id).effective_capacity
             if cap <= 0:
                 utilizations[link_id] = 1.0 if busiest > 0 else 0.0
@@ -482,19 +472,7 @@ class FabricNetwork:
         if link_id not in self._link_bytes:
             raise UnknownLinkError(link_id)
         self.flush_recompute()
-        if direction is None:
-            wanted = {directed_id(link_id, FORWARD),
-                      directed_id(link_id, REVERSE)}
-        else:
-            wanted = {directed_id(link_id, direction)}
-        total = 0.0
-        for f in self._flows.values():
-            if f.tenant_id != tenant_id:
-                continue
-            directed = self._directed_links[f.flow_id]
-            hits = sum(1 for d in directed if d in wanted)
-            total += f.current_rate * hits
-        return total
+        return self._rate_sums().get((tenant_id, link_id, direction), 0.0)
 
     def link_bytes(self, link_id: str,
                    direction: Optional[str] = None) -> float:
@@ -561,7 +539,60 @@ class FabricNetwork:
                 )
         self._last_sync = now
 
+    def _rate_sums(self) -> Dict[tuple, float]:
+        """Every flow's rate summed per link and per tenant on a link.
+
+        Keys are ``(link_id, direction)`` and ``(tenant_id, link_id,
+        direction)``, with ``direction=None`` summing both directions; a
+        missing key means no rate.  Built in one pass over the flows in
+        their order, adding each flow's ``current_rate * hops`` to every
+        key it touches, so each sum takes the same additions, in the same
+        order, as a scan of every flow would (the flows that miss a key
+        add ``0.0``, which changes nothing).  Kept until the rates, the
+        flow set or a path changes.
+        """
+        sums = self._rate_index
+        if sums is not None:
+            return sums
+        sums = self._rate_index = {}
+        for flow_id, flow in self._flows.items():
+            hits: Dict[Tuple[str, Optional[str]], int] = {}
+            for hop in self._flow_hops[flow_id]:
+                both = (hop[0], None)
+                hits[hop] = hits.get(hop, 0) + 1
+                hits[both] = hits.get(both, 0) + 1
+            rate = flow.current_rate
+            tenant_id = flow.tenant_id
+            for key, count in hits.items():
+                amount = rate * count
+                sums[key] = sums.get(key, 0.0) + amount
+                tenant_key = (tenant_id, *key)
+                sums[tenant_key] = sums.get(tenant_key, 0.0) + amount
+        return sums
+
     # -- solver plumbing ----------------------------------------------------------
+
+    def _place_flow(self, flow: Flow) -> None:
+        """Record the hops of *flow*'s current path (start and reroute)."""
+        hops = []
+        for i, link_id in enumerate(flow.path.links):
+            link = self.topology.link(link_id)
+            direction = (FORWARD if flow.path.devices[i] == link.src
+                         else REVERSE)
+            hops.append((link_id, direction))
+        self._flow_hops[flow.flow_id] = tuple(hops)
+        self._directed_links[flow.flow_id] = tuple(
+            directed_id(link_id, direction) for link_id, direction in hops)
+        self._rate_index = None
+
+    def _drop_flow(self, flow: Flow) -> None:
+        """Take a stopped flow off the fabric (cancel and completion)."""
+        self._caps_track_flow(flow, active=False)
+        del self._flows[flow.flow_id]
+        del self._flow_hops[flow.flow_id]
+        del self._directed_links[flow.flow_id]
+        self._solver.remove_flow(flow.flow_id)
+        self._rate_index = None
 
     @staticmethod
     def _cap_cid(key: Tuple[str, str, Optional[str]]) -> str:
@@ -634,19 +665,27 @@ class FabricNetwork:
                 members.discard(flow.flow_id)
             self._push_cap_constraint(key)
 
+    def _push_capacity(self, link_id: str, cap: float) -> None:
+        """Set both directions' solver capacity for *link_id*."""
+        self._solver.set_capacity(directed_id(link_id, FORWARD), cap)
+        self._solver.set_capacity(directed_id(link_id, REVERSE), cap)
+        self._pushed_capacity[link_id] = cap
+
     def _refresh_solver_inputs(self) -> None:
         """Re-sync capacities and flow parameters into the solver.
 
-        Cheap O(links + flows) comparison scan (the solver ignores writes
-        of unchanged values); it keeps the incremental path correct even
-        when topology links or flow demands are mutated directly rather
-        than through the network's mutation methods.
+        Cheap O(links + flows) comparison scan: a capacity is pushed only
+        when it differs from the one last pushed (the solver ignores
+        unchanged flow parameters itself).  It keeps the incremental path
+        correct even when topology links or flow demands are mutated
+        directly rather than through the network's mutation methods.
         """
-        solver = self._solver
+        pushed = self._pushed_capacity
         for link_id in self._link_bytes:
             cap = self.topology.link(link_id).effective_capacity
-            solver.set_capacity(directed_id(link_id, FORWARD), cap)
-            solver.set_capacity(directed_id(link_id, REVERSE), cap)
+            if cap != pushed[link_id]:
+                self._push_capacity(link_id, cap)
+        solver = self._solver
         weights = self._tenant_weights
         for f in self._flows.values():
             solver.set_flow_params(
@@ -666,6 +705,7 @@ class FabricNetwork:
         rates = self._solver.solve()
         for f in self._flows.values():
             f.current_rate = rates.get(f.flow_id, 0.0)
+        self._rate_index = None
 
     @property
     def solver_stats(self) -> SolverStats:
@@ -777,10 +817,7 @@ class FabricNetwork:
             flow.finished_at = self.engine.now
             flow.current_rate = 0.0
             flow.bytes_sent = float(flow.size)
-            self._caps_track_flow(flow, active=False)
-            del self._flows[flow.flow_id]
-            del self._directed_links[flow.flow_id]
-            self._solver.remove_flow(flow.flow_id)
+            self._drop_flow(flow)
         self._recompute()
         for flow in finished:
             if flow.on_complete is not None:

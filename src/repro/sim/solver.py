@@ -487,32 +487,6 @@ class IncrementalMaxMinSolver:
         self._interned.store_rates(component, rates)
         self.stats.scalar_fills += 1
 
-    # -- bulk reads ----------------------------------------------------------
-
-    def constraint_usage(self) -> Dict[str, float]:
-        """Rate currently crossing each constraint (multiplicity-weighted).
-
-        Covers physical and virtual constraints that have at least one
-        resident member flow; everything else is implicitly 0.  With numpy
-        this is one segment-sum over the cached full incidence — the bulk
-        utilization queries in :class:`~repro.sim.network.FabricNetwork`
-        read straight from the interned arrays instead of re-walking every
-        flow's hop list in Python.
-        """
-        if HAVE_NUMPY and self._flows:
-            return self._interned.constraint_usage(
-                list(self._flows), self._virtual_edges()
-            )
-        usage: Dict[str, float] = {}
-        for fid, flow in self._flows.items():
-            rate = self._rates.get(fid, 0.0)
-            for cid in flow.links:
-                usage[cid] = usage.get(cid, 0.0) + rate
-        for cid in self._virtual:
-            for fid in self._members.get(cid, ()):
-                usage[cid] = usage.get(cid, 0.0) + self._rates.get(fid, 0.0)
-        return usage
-
     # -- internal bookkeeping ------------------------------------------------
 
     def _touch_flow(self, flow_id: str) -> None:

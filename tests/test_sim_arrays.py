@@ -242,22 +242,6 @@ def test_rates_survive_path_switch():
         assert second[fid] == first[fid]
 
 
-def test_constraint_usage_matches_python_accumulation():
-    solver = IncrementalMaxMinSolver(array_crossover=0)
-    solver.set_capacity("x", 100.0)
-    solver.set_capacity("y", 80.0)
-    solver.set_flow(FlowDemand("f0", ("x", "y"), demand=math.inf))
-    solver.set_flow(FlowDemand("f1", ("x",), demand=math.inf))
-    solver.set_constraint(Constraint("vc", 30.0,
-                                     member_flows=frozenset({"f1"})))
-    rates = solver.solve()
-    usage = solver.constraint_usage()
-    assert usage["x"] == pytest.approx(rates["f0"] + rates["f1"])
-    assert usage["y"] == pytest.approx(rates["f0"])
-    assert usage["vc"] == pytest.approx(rates["f1"])
-    assert rates["f1"] == pytest.approx(30.0)  # capped by the virtual
-
-
 def test_interned_problem_slot_reuse():
     """Removed flows free their slots; re-adding reuses them."""
     interned = make_interned_problem()

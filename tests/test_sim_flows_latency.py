@@ -56,17 +56,20 @@ class TestFlow:
         assert f.duration is None
         assert f.throughput() is None
 
-    def test_invalid_size(self, path):
+    @pytest.mark.parametrize("size", [0.0, math.nan])
+    def test_invalid_size(self, path, size):
         with pytest.raises(FlowError):
-            make_flow(path, size=0.0)
+            make_flow(path, size=size)
 
-    def test_invalid_weight(self, path):
+    @pytest.mark.parametrize("weight", [0.0, math.nan, math.inf])
+    def test_invalid_weight(self, path, weight):
         with pytest.raises(FlowError):
-            make_flow(path, weight=0.0)
+            make_flow(path, weight=weight)
 
-    def test_invalid_demand(self, path):
+    @pytest.mark.parametrize("demand", [-1.0, math.nan])
+    def test_invalid_demand(self, path, demand):
         with pytest.raises(FlowError):
-            make_flow(path, demand=-1.0)
+            make_flow(path, demand=demand)
 
 
 class TestLatencyModel:

@@ -172,6 +172,42 @@ class TestCapsAndWeights:
         assert net.tenant_link_cap("t", "pcie-nic0") is None
         assert flow.current_rate == pytest.approx(Gbps(256), rel=1e-6)
 
+    @pytest.mark.parametrize("call, error", [
+        (lambda net, p, fid: net.start_transfer("x", p, weight=math.nan),
+         FlowError),
+        (lambda net, p, fid: net.start_transfer("x", p, weight=math.inf),
+         FlowError),
+        (lambda net, p, fid: net.start_transfer("x", p, size=math.nan),
+         FlowError),
+        (lambda net, p, fid: net.start_transfer("x", p, demand=math.nan),
+         FlowError),
+        (lambda net, p, fid: net.set_tenant_weight("t", math.nan),
+         ValueError),
+        (lambda net, p, fid: net.set_tenant_weight("t", math.inf),
+         ValueError),
+        (lambda net, p, fid: net.set_flow_demand(fid, math.nan), ValueError),
+        (lambda net, p, fid: net.set_flow_rate_cap(fid, math.nan),
+         ValueError),
+        (lambda net, p, fid: net.degrade_link("pcie-nic0", -1.0), ValueError),
+        (lambda net, p, fid: net.degrade_link("pcie-nic0", math.nan),
+         ValueError),
+    ], ids=["flow-weight-nan", "flow-weight-inf", "flow-size-nan",
+            "flow-demand-nan", "tenant-weight-nan", "tenant-weight-inf",
+            "set-demand-nan", "set-rate-cap-nan", "degrade-negative",
+            "degrade-nan"])
+    def test_rejected_input_leaves_fabric_usable(self, cascade_net, call,
+                                                 error):
+        net = cascade_net
+        p = path_of(net, "nic0", "dimm0-0")
+        held = net.start_transfer("t", p, demand=Gbps(10))
+        with pytest.raises(error):
+            call(net, p, held.flow_id)
+        assert net.active_flows() == [held]
+        assert held.current_rate == Gbps(10)
+        fresh = net.start_transfer("t", p, demand=Gbps(20))
+        assert fresh.current_rate == Gbps(20)
+        assert held.current_rate == Gbps(10)
+
 
 _CAP_VALUES = st.sampled_from([0.0, Gbps(2), Gbps(8), Gbps(16), math.inf])
 _CAP_TENANTS = st.sampled_from(["a", "b", "c", "d"])
