@@ -117,8 +117,9 @@ def test_fleet_submit_release_fast_path(benchmark):
 
 
 def test_fleet_telemetry_refresh(benchmark):
-    """One push-invalidated headroom recompute (invalidate + headroom is
-    the API shape now; refresh() is a deprecated alias for it)."""
+    """One push-invalidated headroom recompute: ``invalidate`` marks the
+    host dirty and the next ``headroom`` read refreshes it (there is no
+    refresh call)."""
     fleet = Fleet("cascade_lake_2s", hosts=1)
     for i in range(10):
         fleet.submit(pipe(f"i{i}", "tA", src="nic0", dst="dimm0-0",

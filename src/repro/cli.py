@@ -48,6 +48,7 @@ background load), so they work anywhere the library is installed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -329,11 +330,16 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     if args.fleet_command == "replay":
         return _cmd_fleet_replay(args)
 
+    from .errors import FleetError
     from .fleet import FleetChurnConfig, run_churn
 
-    config = FleetChurnConfig(seed=args.seed, horizon=args.horizon,
-                              arrival_rate=args.arrival_rate,
-                              drain=args.drain)
+    try:
+        config = FleetChurnConfig(seed=args.seed, horizon=args.horizon,
+                                  arrival_rate=args.arrival_rate,
+                                  drain=args.drain)
+    except FleetError as exc:
+        print(f"fleet run: {exc}", file=sys.stderr)
+        return 2
     fleet = _make_fleet(args)
     try:
         report = run_churn(fleet, config)
@@ -352,14 +358,13 @@ def _cmd_fleet_chaos(args: argparse.Namespace) -> int:
     is ``max(1, round(rate * horizon))``.  Exit 0 when the invariant
     oracle stayed green throughout, 1 on any violation, 2 on bad args.
     """
-    if args.fault_rate <= 0:
-        print(f"fleet chaos: --fault-rate must be > 0, "
-              f"got {args.fault_rate}", file=sys.stderr)
-        return 2
-    if args.horizon <= 0:
-        print(f"fleet chaos: --horizon must be > 0, got {args.horizon}",
-              file=sys.stderr)
-        return 2
+    # Both sizes the fault schedule before the config can check them.
+    for flag, value in (("--fault-rate", args.fault_rate),
+                        ("--horizon", args.horizon)):
+        if not 0 < value < math.inf:
+            print(f"fleet chaos: {flag} must be finite and > 0, "
+                  f"got {value}", file=sys.stderr)
+            return 2
     from .errors import FleetError
     from .fleet import FleetChaosConfig, run_fleet_campaign
 
@@ -448,7 +453,18 @@ def _cmd_fleet_replay(args: argparse.Namespace) -> int:
 
     from .errors import WorkloadError
 
-    if args.trace is not None:
+    try:
+        config = ReplayConfig(slo_stretch=args.slo_stretch,
+                              retry=not args.no_retry,
+                              samples=args.samples)
+        synth = None if args.trace is not None else SynthTraceConfig(
+            seed=args.seed, tasks=args.tasks, tenants=args.tenants,
+            horizon=args.horizon,
+        )
+    except WorkloadError as exc:
+        print(f"fleet replay: {exc}", file=sys.stderr)
+        return 2
+    if synth is None:
         try:
             trace = load_trace(
                 args.trace,
@@ -460,15 +476,9 @@ def _cmd_fleet_replay(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
     else:
-        trace = synthesize_trace(SynthTraceConfig(
-            seed=args.seed, tasks=args.tasks, tenants=args.tenants,
-            horizon=args.horizon,
-        ))
+        trace = synthesize_trace(synth)
     print(trace.describe())
 
-    config = ReplayConfig(slo_stretch=args.slo_stretch,
-                          retry=not args.no_retry,
-                          samples=args.samples)
     schedule = None
     if args.faults > 0:
         if args.hosts < 2:

@@ -11,6 +11,7 @@ links — those are the interpreter's and scheduler's business.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,9 +62,10 @@ class PerformanceTarget:
     bidirectional: bool = False
 
     def __post_init__(self) -> None:
-        if self.bandwidth <= 0:
+        if not 0 < self.bandwidth < math.inf:
             raise ValueError(
-                f"intent {self.intent_id!r}: bandwidth must be > 0"
+                f"intent {self.intent_id!r}: bandwidth must be finite "
+                f"and > 0, got {self.bandwidth}"
             )
         if self.kind is IntentKind.PIPE and self.dst is None:
             raise ValueError(
@@ -73,7 +75,7 @@ class PerformanceTarget:
             raise ValueError(
                 f"intent {self.intent_id!r}: HOSE intents must not set dst"
             )
-        if self.latency_slo is not None and self.latency_slo <= 0:
+        if self.latency_slo is not None and not self.latency_slo > 0:
             raise ValueError(
                 f"intent {self.intent_id!r}: latency_slo must be > 0"
             )

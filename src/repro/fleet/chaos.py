@@ -33,7 +33,7 @@ from .faults import (
 )
 from .invariants import check_fleet_invariants
 from .recovery import FleetRecoveryConfig, FleetRecoveryController
-from .workload import FleetChurnConfig, generate_events
+from .workload import FleetChurnConfig, check_churn_rates, generate_events
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,8 @@ class FleetChaosConfig:
             raise FleetError(
                 f"a chaos campaign needs >= 2 hosts (somewhere to "
                 f"evacuate to), got {self.hosts}")
-        if self.horizon <= 0:
-            raise FleetError(f"horizon must be > 0, got {self.horizon}")
+        check_churn_rates(self.horizon, self.arrival_rate,
+                          self.mean_holding)
 
 
 @dataclass

@@ -9,9 +9,10 @@ managers.  Its job is the one decision no host can make: *which* host.
 For each intent the active :class:`~repro.fleet.placement.PlacementPolicy`
 ranks hosts over the telemetry's vectorized
 :class:`~repro.fleet.telemetry.HeadroomMatrix` (push-invalidated, so it is
-always current); the scheduler probes hosts in that order (waking each to
-fleet time and remapping the intent's device ids onto its topology) and
-commits to the first that admits.  Every decision is traced under the
+always current); the scheduler walks that order, skipping ineligible hosts
+as it reaches them, probes each candidate (waking it to fleet time and
+remapping the intent's device ids onto its topology) and commits to the
+first that admits.  Every decision is traced under the
 ``fleet`` category.
 """
 
@@ -148,25 +149,29 @@ class ClusterScheduler:
         policy ranking; *exclude* hard-removes hosts (the evacuation
         source); crashed hosts are always hard-removed; when
         *reachable_from* is given, hosts partitioned away from it are
-        removed too (a migration leg cannot cross a cut).  Returns the
-        placement (or ``None``) plus how many hosts were probed-or-
-        rankable, for the rejection message.
+        removed too (a migration leg cannot cross a cut).  Eligibility
+        is checked lazily while walking the ranked order, which stops
+        after ``max_attempts`` probes.  Returns the placement (or
+        ``None``) plus how many hosts were probed — on a rejection that
+        is every eligible host up to ``max_attempts`` — for the
+        rejection message.
         """
         health = self.fleet.health
         order = self.policy.rank_matrix(
             self.request_for(intent, avoid_hosts=avoid),
             self.telemetry.matrix(),
         )
-        order = [
-            h for h in order
-            if h not in exclude and not health.is_crashed(h)
-            and (reachable_from is None
-                 or health.reachable(reachable_from, h))
-        ]
-        if self.max_attempts is not None:
-            order = order[:self.max_attempts]
+        budget = self.max_attempts
+        probes = 0
         fleet = self.fleet
         for host_id in order:
+            if (host_id in exclude or health.is_crashed(host_id)
+                    or (reachable_from is not None
+                        and not health.reachable(reachable_from, host_id))):
+                continue
+            if probes == budget:
+                break
+            probes += 1
             self.probe_count += 1
             # Probed hosts must be at fleet time so the reservation (and
             # any deferred re-solve it schedules) is stamped "now", not
@@ -182,8 +187,8 @@ class ClusterScheduler:
                 continue
             self._bind(intent, host_id)
             self.telemetry.invalidate(host_id)
-            return FleetPlacement(host_id, placement), len(order)
-        return None, len(order)
+            return FleetPlacement(host_id, placement), probes
+        return None, probes
 
     def place(self, intent: PerformanceTarget,
               avoid: FrozenSet[str] = frozenset(),

@@ -9,21 +9,26 @@ link health, and the monitor's latest verdict — into one compact
 :class:`HostHeadroom` summary per host.
 
 Freshness is push-driven, not time-driven: at :meth:`~FleetTelemetry.attach`
-the rollup subscribes to the three signals that can change a summary —
-the host manager's reservation changes
+the rollup subscribes to every signal that can change a summary — the
+host manager's reservation changes
 (:meth:`~repro.core.manager.HostNetworkManager.on_change`), the fabric's
-rate re-solves (:meth:`~repro.sim.network.FabricNetwork.on_recompute`),
-and the monitor's health verdicts — and marks the host *dirty*.
-:meth:`~FleetTelemetry.headroom` recomputes lazily on the next read, so a
-summary an external caller sees is always current; callers never choose
-when to refresh.
+rate re-solves (:meth:`~repro.sim.network.FabricNetwork.on_recompute`)
+and queued coalesced re-solves
+(:meth:`~repro.sim.network.FabricNetwork.on_recompute_queued`), and the
+monitor's health verdicts — and adds the host to a *dirty set*.  The
+fault mark (:meth:`~FleetTelemetry.set_fault`) and
+:meth:`~FleetTelemetry.invalidate` add to it too.  Reads refresh only the
+dirty hosts, so a summary an external caller sees is always current and a
+placement decision costs O(hosts that changed); callers never choose when
+to refresh.
 
-For vectorized placement ranking the same summaries are exposed as a
-:class:`HeadroomMatrix` — per-host columns of the placement-relevant
-scalars in deterministic host-id order, mirroring how ``repro.sim.arrays``
-vectorized water-filling.  Inter-host wire links are excluded from the
-rollup itself (only their health is counted), so the scalar and matrix
-views agree by construction.
+For vectorized placement ranking the same summaries are exposed as one
+resident :class:`HeadroomMatrix` — per-host columns of the
+placement-relevant scalars in deterministic host-id order, mirroring how
+``repro.sim.arrays`` vectorized water-filling.  A refresh rewrites its
+host's row in place, so the matrix never needs a rebuild between attaches.
+Inter-host wire links are excluded from the rollup itself (only their
+health is counted), so the scalar and matrix views agree by construction.
 
 This is the fleet-scale analogue of the paper's "fine-grained monitoring"
 feeding the "holistic resource manager": per-host signals roll up into the
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 import numpy as np
 
@@ -171,6 +176,11 @@ class HeadroomMatrix:
     reads — in particular, inter-host wire links were already excluded
     when those were computed, so the two views cannot disagree.
 
+    :class:`FleetTelemetry` keeps one matrix resident and rewrites a
+    host's row (:meth:`set_row`) whenever it refreshes that host, so a
+    matrix it returns reflects the fleet only until the next telemetry
+    read: rank with it at once, do not hold it.
+
     Attributes:
         headrooms: The source summaries (for scalar fallback paths).
         host_ids: Row order.
@@ -197,6 +207,22 @@ class HeadroomMatrix:
 
     def __len__(self) -> int:
         return len(self.headrooms)
+
+    def set_row(self, row: int, summary: HostHeadroom) -> None:
+        """Overwrite row *row* with *summary*: the source summary, every
+        float and bool column, and every attach column built so far (a
+        missing key stays ``+inf``, as :meth:`attach_free` builds it)."""
+        self.headrooms[row] = summary
+        self.free_capacity_total[row] = summary.free_capacity_total
+        self.free_capacity_max_directed[row] = (
+            summary.free_capacity_max_directed)
+        self.free_capacity_min_directed[row] = (
+            summary.free_capacity_min_directed)
+        self.reserved_peak[row] = summary.reserved_peak
+        self.available[row] = summary.available
+        attach_free = summary.attach_free
+        for key, col in self._attach.items():
+            col[row] = attach_free.get(key, math.inf)
 
     def attach_free(self, key: Optional[str]) -> np.ndarray:
         """Per-host free budget on attach link *key*.
@@ -246,15 +272,21 @@ class HeadroomMatrix:
 class FleetTelemetry:
     """Push-invalidated per-host :class:`HostHeadroom` rollups.
 
-    Summaries are invalidated by the events that change them (reservation
-    changes, fabric re-solves, monitor verdicts) and recomputed lazily on
-    read.
+    The events that change a summary (reservation changes, fabric
+    re-solves run or queued, monitor verdicts, fault marks) add its host
+    to a dirty set; a read refreshes only the dirty hosts it covers.
+
+    Exactness: a host outside the dirty set has no queued re-solve (the
+    queue-time signal would have dirtied it), so flushing it would change
+    nothing and its cached summary is what a refresh would build.  Reads
+    therefore see the same summaries, in the same refresh order, as
+    flushing and checking every host on every read.
     """
 
     def __init__(self) -> None:
         self._hosts: Dict[str, Host] = {}
         self._cache: Dict[str, HostHeadroom] = {}
-        self._dirty: Dict[str, bool] = {}
+        self._dirty: Set[str] = set()
         self._monitor_healthy: Dict[str, bool] = {}
         # Hosts marked faulted by the fleet fault model (crashed or
         # degraded): reported unhealthy regardless of monitor verdict.
@@ -271,10 +303,13 @@ class FleetTelemetry:
         self._intra_links: Dict[str, List[tuple]] = {}
         self._all_links: Dict[str, list] = {}
         self.refresh_count = 0
-        # Bumps on every recompute; the matrix cache key.
-        self._version = 0
+        # Sorted host ids and each one's matrix row; attach and detach
+        # rebuild both and drop the resident matrix.
+        self._order: List[str] = []
+        self._row: Dict[str, int] = {}
+        # Built on the first matrix() read after a membership change;
+        # _refresh then rewrites a host's row in place.
         self._matrix: Optional[HeadroomMatrix] = None
-        self._matrix_version = -1
 
     # -- membership ----------------------------------------------------------
 
@@ -285,7 +320,7 @@ class FleetTelemetry:
         reads never need to guess at staleness.
         """
         self._hosts[host_id] = host
-        self._dirty[host_id] = True
+        self._dirty.add(host_id)
         self._monitor_healthy[host_id] = True
         device_keys = canonical_device_keys(host.topology)
         self._device_keys[host_id] = device_keys
@@ -306,31 +341,39 @@ class FleetTelemetry:
             lambda hid=host_id: self._mark_dirty(hid))
         host.network.on_recompute(
             lambda hid=host_id: self._mark_dirty(hid))
+        host.network.on_recompute_queued(
+            lambda hid=host_id: self._mark_dirty(hid))
         if host.monitor is not None:
             host.monitor.on_report(
                 lambda report, hid=host_id: self._on_report(hid, report)
             )
+        self._membership_changed()
 
     def detach(self, host_id: str) -> None:
         """Stop tracking *host_id* (subscriptions become no-ops)."""
         self._hosts.pop(host_id, None)
         self._cache.pop(host_id, None)
-        self._dirty.pop(host_id, None)
+        self._dirty.discard(host_id)
         self._monitor_healthy.pop(host_id, None)
         self._faulted.discard(host_id)
         self._device_keys.pop(host_id, None)
         self._endpoint_links.pop(host_id, None)
         self._intra_links.pop(host_id, None)
         self._all_links.pop(host_id, None)
-        self._version += 1
+        self._membership_changed()
+
+    def _membership_changed(self) -> None:
+        self._order = sorted(self._hosts)
+        self._row = {host_id: i for i, host_id in enumerate(self._order)}
+        self._matrix = None
 
     def host_ids(self) -> List[str]:
         """Tracked host ids, sorted (the fleet's deterministic order)."""
-        return sorted(self._hosts)
+        return list(self._order)
 
     def _mark_dirty(self, host_id: str) -> None:
         if host_id in self._hosts:
-            self._dirty[host_id] = True
+            self._dirty.add(host_id)
 
     def _on_report(self, host_id: str, report) -> None:
         self._monitor_healthy[host_id] = report.healthy
@@ -366,31 +409,44 @@ class FleetTelemetry:
         Always current: recomputed lazily when any subscribed signal has
         marked the host dirty since the cached summary was built.
         """
-        try:
-            host = self._hosts[host_id]
-        except KeyError:
-            raise UnknownHostError(host_id) from None
-        # A deferred (coalesced) re-solve would fire our recompute
-        # listener only when flushed; flush first so the dirty bit is
-        # accurate before we trust the cache.
-        host.network.flush_recompute()
-        cached = self._cache.get(host_id)
-        if cached is not None and not self._dirty.get(host_id, True):
-            return cached
-        return self._refresh(host_id)
+        if host_id not in self._hosts:
+            raise UnknownHostError(host_id)
+        if host_id in self._dirty:
+            return self._flush_and_refresh(host_id)
+        return self._cache[host_id]
 
     def headrooms(self) -> List[HostHeadroom]:
         """Summaries for every host, in deterministic host-id order."""
-        return [self.headroom(host_id) for host_id in self.host_ids()]
+        self._refresh_dirty()
+        cache = self._cache
+        return [cache[host_id] for host_id in self._order]
 
     def matrix(self) -> HeadroomMatrix:
-        """Every host's summary as one :class:`HeadroomMatrix` (cached
-        until any summary changes)."""
-        summaries = self.headrooms()
-        if self._matrix is None or self._matrix_version != self._version:
-            self._matrix = HeadroomMatrix(summaries)
-            self._matrix_version = self._version
+        """Every host's summary as the resident :class:`HeadroomMatrix`.
+
+        One matrix per telemetry instance (rebuilt only after an attach
+        or detach): refreshes rewrite their host's row in place, so the
+        returned matrix reflects the fleet only until the next telemetry
+        read.
+        """
+        self._refresh_dirty()
+        if self._matrix is None:
+            cache = self._cache
+            self._matrix = HeadroomMatrix(
+                [cache[host_id] for host_id in self._order])
         return self._matrix
+
+    def _refresh_dirty(self) -> None:
+        """Refresh every dirty host, in sorted host-id order."""
+        if self._dirty:
+            for host_id in sorted(self._dirty):
+                self._flush_and_refresh(host_id)
+
+    def _flush_and_refresh(self, host_id: str) -> HostHeadroom:
+        # A queued coalesced re-solve must run before the rollup reads
+        # the fabric; only a dirty host can have one queued.
+        self._hosts[host_id].network.flush_recompute()
+        return self._refresh(host_id)
 
     def invalidate(self, host_id: Optional[str] = None) -> None:
         """Mark one host (or all) dirty, forcing recompute on next read.
@@ -400,8 +456,7 @@ class FleetTelemetry:
         the manager's back.
         """
         if host_id is None:
-            for hid in self._hosts:
-                self._dirty[hid] = True
+            self._dirty.update(self._hosts)
         else:
             self._mark_dirty(host_id)
 
@@ -500,9 +555,10 @@ class FleetTelemetry:
             attach_free=attach_free,
         )
         self._cache[host_id] = summary
-        self._dirty[host_id] = False
+        self._dirty.discard(host_id)
+        if self._matrix is not None:
+            self._matrix.set_row(self._row[host_id], summary)
         self.refresh_count += 1
-        self._version += 1
         return summary
 
     def describe(self) -> str:

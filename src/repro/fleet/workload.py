@@ -14,6 +14,7 @@ per-link headroom admit the big intents that blind placement strands.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -60,6 +61,23 @@ class FleetChurnConfig:
     large_fraction: float = 0.2
     bidirectional_fraction: float = 0.25
     drain: bool = False
+
+    def __post_init__(self) -> None:
+        check_churn_rates(self.horizon, self.arrival_rate,
+                          self.mean_holding)
+
+
+def check_churn_rates(horizon: float, arrival_rate: float,
+                      mean_holding: float) -> None:
+    """Raise :class:`FleetError` unless the churn stream's horizon,
+    arrival rate and mean holding time are finite and > 0 (anything else
+    makes the arrival loop never reach the horizon, or divide by zero)."""
+    for name, value in (("horizon", horizon),
+                        ("arrival_rate", arrival_rate),
+                        ("mean_holding", mean_holding)):
+        if not 0 < value < math.inf:
+            raise FleetError(
+                f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass

@@ -149,7 +149,7 @@ class Engine:
         Returns the number of events processed.  ``max_events`` is a safety
         valve against runaway event storms in tests.
         """
-        if t < self.now:
+        if not t >= self.now:  # also rejects NaN
             raise ClockError(f"cannot run until {t} (now is {self.now})")
         if self._running:
             raise SimulationError("engine is not reentrant")

@@ -125,6 +125,7 @@ class FabricNetwork:
         self._start_listeners: List[Callable[[Flow], None]] = []
         self._link_state_listeners: List[Callable[[str, bool], None]] = []
         self._recompute_listeners: List[Callable[[], None]] = []
+        self._recompute_queued_listeners: List[Callable[[], None]] = []
         self._recompute_count = 0
 
     # -- flow lifecycle ------------------------------------------------------
@@ -238,6 +239,17 @@ class FabricNetwork:
         for caches derived from live fabric state (fleet telemetry).
         """
         self._recompute_listeners.append(listener)
+
+    def on_recompute_queued(self, listener: Callable[[], None]) -> None:
+        """Register a callback fired when a coalesced re-solve is queued.
+
+        With ``coalesce_recompute`` on, a mutation queues one deferred
+        re-solve and :meth:`on_recompute` listeners fire only when it
+        runs.  This fires at queue time instead, so a cache can learn that
+        :meth:`flush_recompute` would change something without flushing
+        every fabric it tracks (fleet telemetry).
+        """
+        self._recompute_queued_listeners.append(listener)
 
     def reroute_flow(self, flow_id: str, path: Path) -> Flow:
         """Move an active flow onto *path*, preserving identity and bytes.
@@ -746,6 +758,8 @@ class FabricNetwork:
                 self._pending_solve_event = self.engine.schedule_now(
                     self._fire_pending_solve, label="coalesced-recompute",
                 )
+                for listener in self._recompute_queued_listeners:
+                    listener()
             return
         self._recompute_now()
 

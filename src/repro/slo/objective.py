@@ -23,6 +23,7 @@ milliseconds.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -82,13 +83,14 @@ class SloObjective:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("an SloObjective needs a name")
-        if self.bound <= 0:
+        if not self.bound > 0:  # also rejects NaN
             raise ValueError(f"bound must be > 0, got {self.bound}")
         if not 0 < self.percentile < 100:
             raise ValueError(
                 f"percentile must be in (0, 100), got {self.percentile}")
-        if self.period <= 0:
-            raise ValueError(f"period must be > 0, got {self.period}")
+        if not 0 < self.period < math.inf:
+            raise ValueError(
+                f"period must be finite and > 0, got {self.period}")
 
     @property
     def error_budget(self) -> float:

@@ -18,6 +18,7 @@ them for a given seed (pinned in ``tests/test_slo.py``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -70,6 +71,12 @@ class LatencyRegressionConfig:
     max_moves: int = 4
 
     def __post_init__(self) -> None:
+        # The churn stream never reaches a NaN or infinite horizon, nor
+        # any horizon at a rate <= 0.
+        for name in ("horizon", "arrival_rate", "mean_holding"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise SloError(f"{name} must be finite and > 0, got {value}")
         if not 0 <= self.degrade_at <= self.horizon:
             raise SloError(
                 f"degrade_at={self.degrade_at} outside the horizon "

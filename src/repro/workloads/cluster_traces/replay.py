@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import math
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -85,19 +86,25 @@ class ReplayConfig:
     samples: int = 32
 
     def __post_init__(self) -> None:
-        if self.slo_stretch < 1.0:
+        # Each check is written so that NaN fails it.
+        if not self.slo_stretch >= 1.0:
             raise WorkloadError(
                 f"slo_stretch must be >= 1, got {self.slo_stretch}"
             )
-        if self.retry_backoff_fraction <= 0:
+        if not self.retry_backoff_fraction > 0:
             raise WorkloadError(
                 f"retry_backoff_fraction must be > 0, got "
                 f"{self.retry_backoff_fraction}"
             )
-        if self.retry_backoff_growth < 1.0:
+        if not self.retry_backoff_growth >= 1.0:
             raise WorkloadError(
                 f"retry_backoff_growth must be >= 1, got "
                 f"{self.retry_backoff_growth}"
+            )
+        if not 0 <= self.max_wait_fraction < math.inf:
+            raise WorkloadError(
+                f"max_wait_fraction must be finite and >= 0, got "
+                f"{self.max_wait_fraction}"
             )
         if self.samples < 0:
             raise WorkloadError(

@@ -76,6 +76,22 @@ class SynthTraceConfig:
     large_fraction: float = 0.15
     bidirectional_fraction: float = 0.25
 
+    def __post_init__(self) -> None:
+        if self.tasks < 1:
+            raise WorkloadError(f"tasks must be >= 1, got {self.tasks}")
+        if self.tenants < 1:
+            raise WorkloadError(f"tenants must be >= 1, got {self.tenants}")
+        # A NaN horizon never ends the arrival loop; an infinite one
+        # makes every rate zero.
+        if not 0 < self.horizon < math.inf:
+            raise WorkloadError(
+                f"horizon must be finite and > 0, got {self.horizon}")
+        if not 0 <= self.burst_amplitude < 1:
+            raise WorkloadError(
+                f"burst_amplitude must be in [0, 1), got "
+                f"{self.burst_amplitude}"
+            )
+
 
 def synthesize_trace(config: SynthTraceConfig) -> ClusterTrace:
     """Emit a normalized trace from seeded distributions.
@@ -86,17 +102,6 @@ def synthesize_trace(config: SynthTraceConfig) -> ClusterTrace:
     number of tasks with a small stagger.  Generation stops at exactly
     ``config.tasks`` tasks.
     """
-    if config.tasks < 1:
-        raise WorkloadError(f"tasks must be >= 1, got {config.tasks}")
-    if config.tenants < 1:
-        raise WorkloadError(f"tenants must be >= 1, got {config.tenants}")
-    if config.horizon <= 0:
-        raise WorkloadError(f"horizon must be > 0, got {config.horizon}")
-    if not 0 <= config.burst_amplitude < 1:
-        raise WorkloadError(
-            f"burst_amplitude must be in [0, 1), got "
-            f"{config.burst_amplitude}"
-        )
     rng = make_rng(config.seed, "cluster-trace-synth")
     # Base job-arrival rate sized so ~tasks arrive inside the horizon;
     # thinning below only reshapes arrivals in time, it does not change
