@@ -316,6 +316,16 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         print(f"fleet: --max-attempts must be >= 1, got {max_attempts}",
               file=sys.stderr)
         return 2
+    threshold = getattr(args, "rebalance_threshold", None)
+    if threshold is not None and not threshold >= 0:
+        print(f"fleet: --rebalance-threshold must be >= 0, got {threshold}",
+              file=sys.stderr)
+        return 2
+    domains = getattr(args, "domains", None)
+    if domains is not None and domains < 1:
+        print(f"fleet: --domains must be >= 1, got {domains}",
+              file=sys.stderr)
+        return 2
     if args.fleet_command == "chaos":
         return _cmd_fleet_chaos(args)
     if args.fleet_command == "slo":
@@ -441,6 +451,10 @@ def _fault_schedule(args: argparse.Namespace, horizon: float):
 
 def _cmd_fleet_replay(args: argparse.Namespace) -> int:
     """``fleet replay``: one trace, one (or every) policy, one report."""
+    if args.faults < 0:
+        print(f"fleet replay: --faults must be >= 0, got {args.faults}",
+              file=sys.stderr)
+        return 2
     from .workloads.cluster_traces import (
         IngestConfig,
         ReplayConfig,
@@ -452,6 +466,8 @@ def _cmd_fleet_replay(args: argparse.Namespace) -> int:
     )
 
     from .errors import WorkloadError
+    from .slo import SloConfig
+    from .units import us
 
     try:
         config = ReplayConfig(slo_stretch=args.slo_stretch,
@@ -463,6 +479,12 @@ def _cmd_fleet_replay(args: argparse.Namespace) -> int:
         )
     except WorkloadError as exc:
         print(f"fleet replay: {exc}", file=sys.stderr)
+        return 2
+    try:
+        slo = (SloConfig.default(bound=us(args.slo_bound))
+               if args.slo else None)
+    except ValueError as exc:  # SloObjective's own check
+        print(f"fleet replay: --slo-bound: {exc}", file=sys.stderr)
         return 2
     if synth is None:
         try:
@@ -509,12 +531,6 @@ def _cmd_fleet_replay(args: argparse.Namespace) -> int:
     else:
         from .fleet import Fleet
 
-        slo = None
-        if args.slo:
-            from .slo import SloConfig
-            from .units import us
-
-            slo = SloConfig.default(bound=us(args.slo_bound))
         fleet = Fleet(args.preset, hosts=args.hosts, policy=args.policy,
                       clock=args.clock, max_attempts=args.max_attempts,
                       rebalance_threshold=args.rebalance_threshold,

@@ -44,6 +44,7 @@ cross the cut.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -342,8 +343,9 @@ class FleetFaultConfig:
     def __post_init__(self) -> None:
         if self.faults < 0:
             raise FleetError(f"faults must be >= 0, got {self.faults}")
-        if self.horizon <= 0:
-            raise FleetError(f"horizon must be > 0, got {self.horizon}")
+        if not 0 < self.horizon < math.inf:
+            raise FleetError(
+                f"horizon must be finite and > 0, got {self.horizon}")
         if not 0 <= self.start_fraction < 1:
             raise FleetError(
                 f"start_fraction must be in [0, 1), got "
@@ -352,6 +354,18 @@ class FleetFaultConfig:
             raise FleetError(
                 f"max_down_fraction must be in (0, 1], got "
                 f"{self.max_down_fraction}")
+        if not all(0 <= f < math.inf for f in self.outage_fraction):
+            raise FleetError(f"outage_fraction must be finite and >= 0, "
+                             f"got {self.outage_fraction}")
+        # The fault injector's degrade accepts (0, 1].
+        if not all(0 < f <= 1 for f in self.degrade_factor):
+            raise FleetError(f"degrade_factor must be in (0, 1], "
+                             f"got {self.degrade_factor}")
+        weights = (self.crash_weight, self.degrade_weight,
+                   self.partition_weight)
+        if not (all(0 <= w < math.inf for w in weights) and sum(weights) > 0):
+            raise FleetError(f"kind weights must be finite, >= 0 and not "
+                             f"all zero, got {weights}")
 
 
 _FAULT_KINDS = ("crash", "degrade", "partition")

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, TYPE_CHECKING
 
-from ..errors import AdmissionError, HostNetError, MigrationError
+from ..errors import AdmissionError, FleetError, HostNetError, MigrationError
 from ..trace.recorder import TRACER
 from ..trace.spans import CAT_FLEET
 from .scheduler import ClusterScheduler, FleetPlacement
@@ -81,6 +81,10 @@ class MigrationPlanner:
     def __init__(self, fleet: "Fleet", scheduler: ClusterScheduler,
                  rebalance_threshold: Optional[float] = None,
                  max_moves_per_tick: int = 1) -> None:
+        # `gap <= threshold` is never true for NaN: every tick would move.
+        if rebalance_threshold is not None and not rebalance_threshold >= 0:
+            raise FleetError(f"rebalance_threshold must be >= 0, "
+                             f"got {rebalance_threshold}")
         self.fleet = fleet
         self.scheduler = scheduler
         self.rebalance_threshold = rebalance_threshold

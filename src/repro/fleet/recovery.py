@@ -39,6 +39,7 @@ session orphaned by a failed migration rollback (see
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
@@ -79,13 +80,14 @@ class FleetRecoveryConfig:
         if self.max_retries < 0:
             raise FleetError(
                 f"max_retries must be >= 0, got {self.max_retries}")
-        if self.retry_backoff <= 0:
-            raise FleetError(
-                f"retry_backoff must be > 0, got {self.retry_backoff}")
-        if self.backoff_growth < 1.0:
-            raise FleetError(
-                f"backoff_growth must be >= 1, got {self.backoff_growth}")
-        if self.retry_timeout <= 0:
+        if not 0 < self.retry_backoff < math.inf:
+            raise FleetError(f"retry_backoff must be finite and > 0, "
+                             f"got {self.retry_backoff}")
+        if not 1.0 <= self.backoff_growth < math.inf:
+            raise FleetError(f"backoff_growth must be finite and >= 1, "
+                             f"got {self.backoff_growth}")
+        # An infinite timeout leaves max_retries as the only bound.
+        if not self.retry_timeout > 0:
             raise FleetError(
                 f"retry_timeout must be > 0, got {self.retry_timeout}")
 

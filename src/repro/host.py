@@ -46,10 +46,6 @@ class Host:
         latency_model: Queueing model override for the fabric.
         coalesce_recompute: Coalesce same-instant fabric re-solves (see
             :class:`~repro.sim.network.FabricNetwork`).
-        array_crossover: Component size at which the fair-share solver
-            switches from the scalar water-filling core to the
-            numpy-vectorized one (``None`` keeps the measured default;
-            see :mod:`repro.sim.arrays`).
         managed: Construct the :class:`HostNetworkManager` (default).
             ``managed=False`` gives a bare engine + fabric for unmanaged
             experiments; ``manager`` access then raises.
@@ -88,7 +84,6 @@ class Host:
         start: float = 0.0,
         latency_model: Optional[LatencyModel] = None,
         coalesce_recompute: bool = False,
-        array_crossover: Optional[int] = None,
         managed: bool = True,
         trace: Union[bool, TraceConfig, None] = None,
         resilience=None,
@@ -112,7 +107,6 @@ class Host:
             topology, self.engine,
             latency_model=latency_model,
             coalesce_recompute=coalesce_recompute,
-            array_crossover=array_crossover,
         )
         self._manager: Optional[HostNetworkManager] = None
         if managed:

@@ -1,6 +1,6 @@
 """Discrete-event simulation core: engine, flows, fair sharing, latency."""
 
-from .arrays import DEFAULT_ARRAY_CROSSOVER, HAVE_NUMPY, progressive_fill_array
+from .arrays import DEFAULT_ARRAY_CROSSOVER, progressive_fill_array
 from .bandwidth import Constraint, FlowDemand, link_utilizations, max_min_fair_rates
 from .clock import SimClock
 from .engine import Engine, PeriodicTask
@@ -23,7 +23,6 @@ __all__ = [
     "max_min_fair_rates",
     "link_utilizations",
     "progressive_fill_array",
-    "HAVE_NUMPY",
     "DEFAULT_ARRAY_CROSSOVER",
     "IncrementalMaxMinSolver",
     "SolverStats",

@@ -1,17 +1,10 @@
-"""Array-backed water-filling: interned problem state + vectorized core.
+"""Vectorized water-filling core for large components.
 
 The scalar :func:`~repro.sim.bandwidth.progressive_fill` is the reference
 implementation of weighted max-min water-filling, but it is a pure-Python
-loop that costs O(rounds x constraints x membership).  This module provides
-the production path for large problems:
+loop that costs O(rounds x constraints x membership).  This module holds
+the numpy core for large problems:
 
-* :class:`InternedProblem` — a mirror of the resident solver's problem kept
-  in *interned* form: every flow and constraint gets a stable integer slot,
-  weights/demands/capacities live in dense numpy vectors, and each flow's
-  constraint incidence is a small pre-interned (constraint-slot,
-  multiplicity) array computed once at ``set_flow`` time.  The mirror is
-  maintained incrementally by :class:`~repro.sim.solver.IncrementalMaxMinSolver`
-  mutations — a solve never re-hashes a flow or constraint id.
 * :func:`_fill_arrays` — the vectorized water-filling round: active
   weights, headroom, demand gaps, and freeze masks are computed with
   ``bincount``/segment operations over a flat edge list instead of nested
@@ -20,46 +13,33 @@ the production path for large problems:
   accumulation order (1e-6, enforced by the seeded property suite in
   ``tests/test_sim_arrays.py``).
 * :func:`progressive_fill_array` — a drop-in vectorized replacement for
-  ``progressive_fill`` on an already-built ``(members, caps)`` problem,
-  used by the stateless entry point for large instances.
+  ``progressive_fill`` on an already-built ``(members, caps)`` problem.
+  Both cores take the same per-solve build, so the solver picks a core
+  without keeping any state for either.
 
 numpy overhead dominates for tiny problems (the constant cost of building
 local arrays exceeds the whole scalar solve below a few dozen flows), and
 chaos/churn workloads produce tiny components constantly — so the resident
-solver picks the path *per component*, falling back to the scalar core
-below :data:`DEFAULT_ARRAY_CROSSOVER`.  The crossover was measured on the
-benchmark VM (see ``BENCH_sim_performance.json``): with the running-total
-scalar core the two paths break even around ~256 flows per component; at
-1000 flows the array path is ~4x faster and still widening.
-
-numpy is an optional dependency of this module alone: when it is missing,
-:data:`HAVE_NUMPY` is ``False``, the solver silently keeps the scalar path
-for every component, and :class:`NullInternedProblem` stands in as an
-inert mirror.
+solver picks the core *per component*, falling back to the scalar core
+below :data:`DEFAULT_ARRAY_CROSSOVER`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence
 
-try:  # gate, don't require: the scalar core remains fully functional
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from .bandwidth import _ABS_EPSILON, _EPSILON, FlowDemand
 
-#: Whether the vectorized path is available at all.
-HAVE_NUMPY = np is not None
-
 #: Component size (flow count) at which the solver switches from the scalar
-#: to the array core.  Measured break-even on the reference VM is ~256
-#: flows (the scalar core carries running usage/active-weight totals, so
-#: its rounds are cheap; numpy's per-call constants only amortize once
-#: components get big).  Below this, churn-sized components never pay
-#: numpy setup; above it the array core wins and keeps widening (~4x at
-#: 1000 flows).
+#: to the array core.  Measured break-even is ~256 flows (the scalar core
+#: carries running usage/active-weight totals, so its rounds are cheap;
+#: numpy's per-call constants only amortize once components get big): on
+#: problems shaped like the 1k-flow benchmark instance (n flows over n/5
+#: constraints, five seeds) the scalar/array time ratio is 1.03-1.11 at
+#: 256 flows and 1.71-1.77 at 512.
 DEFAULT_ARRAY_CROSSOVER = 256
 
 
@@ -198,12 +178,9 @@ def progressive_fill_array(
 
     Converts the string-keyed ``(members, caps)`` structures from
     :func:`~repro.sim.bandwidth.build_problem` into flat arrays and runs
-    :func:`_fill_arrays`.  Used by the stateless entry point for large
-    instances; the resident solver skips this conversion entirely by
-    keeping an :class:`InternedProblem` mirror.
+    :func:`_fill_arrays`.  Every solve path that picks the array core
+    calls it on the same build the scalar core would have taken.
     """
-    if np is None:  # pragma: no cover - numpy-less installs
-        raise RuntimeError("progressive_fill_array requires numpy")
     n = len(flows)
     weights = np.fromiter((f.weight for f in flows), dtype=np.float64, count=n)
     demands = np.fromiter((f.demand for f in flows), dtype=np.float64, count=n)
@@ -231,267 +208,3 @@ def progressive_fill_array(
     )
     return rates.tolist()
 
-
-class InternedProblem:
-    """Int-indexed, incrementally maintained mirror of the solver's problem.
-
-    Flows and constraints are interned once, at mutation time; solves
-    gather pre-built per-flow incidence arrays instead of re-hashing ids.
-    The full-problem gather (every flow, used by full solves and bulk
-    usage queries) is cached and invalidated by a structure version that
-    bumps only when the incidence *structure* changes — demand, weight,
-    and capacity updates write straight into the dense vectors.
-    """
-
-    _GROW = 16
-
-    def __init__(self) -> None:
-        if np is None:  # pragma: no cover - numpy-less installs
-            raise RuntimeError("InternedProblem requires numpy")
-        self._flow_slots: Dict[str, int] = {}
-        self._free_flow_slots: List[int] = []
-        self._flow_edges: List[Optional[Tuple["np.ndarray", "np.ndarray"]]] = []
-        self.weights = np.zeros(self._GROW)
-        self.demands = np.zeros(self._GROW)
-        self.rates = np.zeros(self._GROW)
-
-        self._cons_slots: Dict[str, int] = {}
-        self._free_cons_slots: List[int] = []
-        self.caps = np.zeros(self._GROW)
-
-        #: Bumped whenever the incidence structure changes (flow added,
-        #: removed, or re-linked; constraint added or removed).
-        self.structure_version = 0
-        self._full_cache: Optional[Tuple[int, tuple]] = None
-
-    # -- interning -----------------------------------------------------------
-
-    def _flow_slot(self, fid: str) -> int:
-        slot = self._flow_slots.get(fid)
-        if slot is None:
-            if self._free_flow_slots:
-                slot = self._free_flow_slots.pop()
-            else:
-                slot = len(self._flow_edges)
-                self._flow_edges.append(None)
-                if slot >= len(self.weights):
-                    grow = max(2 * len(self.weights), slot + 1)
-                    self.weights = np.resize(self.weights, grow)
-                    self.demands = np.resize(self.demands, grow)
-                    self.rates = np.resize(self.rates, grow)
-            self.rates[slot] = 0.0
-            self._flow_slots[fid] = slot
-        return slot
-
-    def _cons_slot(self, cid: str) -> int:
-        slot = self._cons_slots.get(cid)
-        if slot is None:
-            if self._free_cons_slots:
-                slot = self._free_cons_slots.pop()
-            else:
-                # No slot is free, so every allocated slot is live.
-                slot = len(self._cons_slots)
-                if slot >= len(self.caps):
-                    self.caps = np.resize(self.caps, max(2 * len(self.caps), slot + 1))
-            self._cons_slots[cid] = slot
-        return slot
-
-    def _bump(self) -> None:
-        self.structure_version += 1
-        self._full_cache = None
-
-    # -- mutation mirror (driven by IncrementalMaxMinSolver) -----------------
-
-    def set_capacity(self, cid: str, capacity: float) -> None:
-        """Intern a physical constraint and store its capacity."""
-        slot = self._cons_slot(cid)  # may rebind self.caps (growth)
-        self.caps[slot] = capacity
-
-    def remove_capacity(self, cid: str) -> None:
-        """Forget a (by contract unused) physical constraint."""
-        slot = self._cons_slots.pop(cid, None)
-        if slot is not None:
-            self._free_cons_slots.append(slot)
-            self._bump()
-
-    # Virtual constraints share the interned table; membership is resolved
-    # at gather time from the solver's adjacency.
-    def set_constraint_capacity(self, cid: str, capacity: float) -> None:
-        """Install/update a virtual constraint's capacity (bumps structure:
-        its membership may have changed with it)."""
-        slot = self._cons_slot(cid)  # may rebind self.caps (growth)
-        self.caps[slot] = capacity
-        self._bump()
-
-    remove_constraint = remove_capacity
-
-    def set_flow(self, fid: str, links: Tuple[str, ...],
-                 demand: float, weight: float) -> None:
-        """Intern *fid* (new or re-linked) and pre-build its incidence."""
-        slot = self._flow_slot(fid)
-        self.weights[slot] = weight
-        self.demands[slot] = demand
-        counts: Dict[int, int] = {}
-        for cid in links:
-            ci = self._cons_slot(cid)
-            counts[ci] = counts.get(ci, 0) + 1
-        self._flow_edges[slot] = (
-            np.fromiter(counts.keys(), dtype=np.int64, count=len(counts)),
-            np.fromiter(counts.values(), dtype=np.float64, count=len(counts)),
-        )
-        self._bump()
-
-    def set_flow_params(self, fid: str, demand: float, weight: float) -> None:
-        """Update a flow's dense parameters (no structure bump)."""
-        slot = self._flow_slots[fid]
-        self.weights[slot] = weight
-        self.demands[slot] = demand
-
-    def remove_flow(self, fid: str) -> None:
-        """Free a flow's slot."""
-        slot = self._flow_slots.pop(fid, None)
-        if slot is not None:
-            self._flow_edges[slot] = None
-            self.rates[slot] = 0.0
-            self._free_flow_slots.append(slot)
-            self._bump()
-
-    def store_rates(self, fids: Sequence[str], rates: Sequence[float]) -> None:
-        """Mirror scalar-path results into the dense rate vector."""
-        for fid, rate in zip(fids, rates):
-            self.rates[self._flow_slots[fid]] = rate
-
-    # -- gathering -----------------------------------------------------------
-
-    def _gather(
-        self,
-        fids: Sequence[str],
-        virtual_edges: Sequence[Tuple[str, Sequence[str]]],
-    ) -> tuple:
-        """Build the local arrays for one (sub-)problem.
-
-        Returns ``(slots, w, d, caps_local, edge_flow, edge_cons,
-        edge_mult)`` with local flow indices following *fids* order and
-        constraints densified to the ones actually crossed.
-        """
-        n = len(fids)
-        local: Dict[str, int] = {}
-        slots = np.empty(n, dtype=np.int64)
-        parts_cons: List["np.ndarray"] = []
-        parts_mult: List["np.ndarray"] = []
-        parts_flow: List["np.ndarray"] = []
-        for i, fid in enumerate(fids):
-            slot = self._flow_slots[fid]
-            slots[i] = slot
-            local[fid] = i
-            edges = self._flow_edges[slot]
-            if edges is not None and len(edges[0]):
-                parts_cons.append(edges[0])
-                parts_mult.append(edges[1])
-                parts_flow.append(np.full(len(edges[0]), i, dtype=np.int64))
-        for cid, member_fids in virtual_edges:
-            if not member_fids:
-                continue
-            cslot = self._cons_slots[cid]
-            k = len(member_fids)
-            parts_cons.append(np.full(k, cslot, dtype=np.int64))
-            parts_mult.append(np.ones(k))
-            parts_flow.append(
-                np.fromiter((local[f] for f in member_fids),
-                            dtype=np.int64, count=k)
-            )
-        if parts_cons:
-            edge_cons_global = np.concatenate(parts_cons)
-            edge_mult = np.concatenate(parts_mult)
-            edge_flow = np.concatenate(parts_flow)
-            ucons, edge_cons = np.unique(edge_cons_global, return_inverse=True)
-            caps_local = self.caps[ucons]
-        else:
-            edge_flow = np.empty(0, dtype=np.int64)
-            edge_cons = np.empty(0, dtype=np.int64)
-            edge_mult = np.empty(0)
-            ucons = np.empty(0, dtype=np.int64)
-            caps_local = np.empty(0)
-        return (slots, self.weights[slots], self.demands[slots], caps_local,
-                edge_flow, edge_cons, edge_mult, ucons)
-
-    def _gather_full(
-        self,
-        fids: Sequence[str],
-        virtual_edges: Sequence[Tuple[str, Sequence[str]]],
-    ) -> tuple:
-        """Cached :meth:`_gather` over the whole problem.
-
-        Valid as long as the incidence structure is unchanged — any
-        mutation that could alter *fids* or *virtual_edges* bumps
-        :attr:`structure_version` and invalidates the cache, so weight,
-        demand, and capacity refreshes reuse the gathered arrays.
-        """
-        if (self._full_cache is not None
-                and self._full_cache[0] == self.structure_version):
-            gathered = self._full_cache[1]
-            slots = gathered[0]
-            # Dense parameters may have moved since the gather.
-            return (slots, self.weights[slots], self.demands[slots],
-                    self.caps[gathered[7]], *gathered[4:])
-        gathered = self._gather(fids, virtual_edges)
-        self._full_cache = (self.structure_version, gathered)
-        return gathered
-
-    # -- solving -------------------------------------------------------------
-
-    def solve(
-        self,
-        fids: Sequence[str],
-        virtual_edges: Sequence[Tuple[str, Sequence[str]]],
-        full: bool = False,
-    ) -> List[float]:
-        """Run the vectorized core over *fids*; returns rates in order.
-
-        ``full=True`` marks the gather as covering the entire problem,
-        enabling the structure-version cache.
-        """
-        gather = self._gather_full if full else self._gather
-        slots, w, d, caps_local, edge_flow, edge_cons, edge_mult, _ = gather(
-            fids, virtual_edges
-        )
-        rates = _fill_arrays(w, d, caps_local, edge_flow, edge_cons, edge_mult)
-        self.rates[slots] = rates
-        return rates.tolist()
-
-class NullInternedProblem:
-    """Inert stand-in used when numpy is unavailable.
-
-    Accepts every mutation silently; the solver never routes a solve to it
-    because :data:`HAVE_NUMPY` gates the array path.
-    """
-
-    structure_version = 0
-
-    def set_capacity(self, cid: str, capacity: float) -> None:
-        pass
-
-    def remove_capacity(self, cid: str) -> None:
-        pass
-
-    remove_constraint = remove_capacity
-
-    def set_constraint_capacity(self, cid: str, capacity: float) -> None:
-        pass
-
-    def set_flow(self, fid, links, demand, weight) -> None:
-        pass
-
-    def set_flow_params(self, fid, demand, weight) -> None:
-        pass
-
-    def remove_flow(self, fid) -> None:
-        pass
-
-    def store_rates(self, fids, rates) -> None:
-        pass
-
-
-def make_interned_problem():
-    """The interned mirror appropriate for this interpreter."""
-    return InternedProblem() if HAVE_NUMPY else NullInternedProblem()

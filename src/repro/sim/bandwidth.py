@@ -40,7 +40,8 @@ class FlowDemand:
         links: Ids of the capacity constraints the flow crosses (physical
             link ids and/or virtual constraint ids).
         demand: Maximum useful rate in bytes/s (``inf`` for elastic flows).
-        weight: Max-min weight (> 0); rates grow in proportion to weights.
+        weight: Max-min weight (finite, > 0); rates grow in proportion to
+            weights.
     """
 
     flow_id: str
@@ -49,9 +50,10 @@ class FlowDemand:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ValueError(f"flow {self.flow_id!r}: weight must be > 0")
-        if self.demand < 0:
+        if not 0 < self.weight < math.inf:
+            raise ValueError(
+                f"flow {self.flow_id!r}: weight must be finite and > 0")
+        if not self.demand >= 0:
             raise ValueError(f"flow {self.flow_id!r}: demand must be >= 0")
 
 
@@ -69,7 +71,7 @@ class Constraint:
     member_flows: Optional[FrozenSet[str]] = None
 
     def __post_init__(self) -> None:
-        if self.capacity < 0:
+        if not self.capacity >= 0:
             raise ValueError(
                 f"constraint {self.constraint_id!r}: capacity must be >= 0"
             )

@@ -61,9 +61,6 @@ class FabricNetwork:
             instead of N.  Rate queries flush the pending solve, keeping
             observable rates consistent; only ``Flow.current_rate`` read
             directly between same-instant events can be stale.
-        array_crossover: Forwarded to
-            :class:`~repro.sim.solver.IncrementalMaxMinSolver`: component
-            size at which solves take the vectorized array core.
     """
 
     def __init__(
@@ -72,7 +69,6 @@ class FabricNetwork:
         engine: Engine,
         latency_model: Optional[LatencyModel] = None,
         coalesce_recompute: bool = False,
-        array_crossover: Optional[int] = None,
     ) -> None:
         self.topology = topology
         self.engine = engine
@@ -93,7 +89,7 @@ class FabricNetwork:
 
         # The resident incremental solver: flow/constraint mutations mark
         # components dirty; _solve() re-solves only those.
-        self._solver = IncrementalMaxMinSolver(array_crossover=array_crossover)
+        self._solver = IncrementalMaxMinSolver()
         # Each link's capacity as last pushed into the solver (both
         # directions), so a re-solve writes only the ones that changed.
         self._pushed_capacity: Dict[str, float] = {}

@@ -13,37 +13,30 @@ Key properties:
   transitively) only if they share a constraint.  The weighted max-min
   allocation of a disconnected component is independent of every other
   component, so cached rates of untouched components are reused verbatim.
-* **Epoch-keyed caching.**  Every mutation bumps an epoch counter and
-  stamps the constraints/flows it touched.  ``solve()`` re-solves exactly
-  the components containing something stamped after the last solve epoch;
-  a clean solver returns its cached rates without any work.
-* **Two water-filling cores, one algorithm.**  Every solve runs progressive
-  filling; *which* core depends on component size.  Components at or above
+* **Dirty sets.**  Every mutation records the flows and constraints it
+  touched.  ``solve()`` re-solves exactly the components containing
+  something recorded since the last solve; a clean solver returns its
+  cached rates without any work.
+* **Two water-filling cores, one build.**  Every solve builds one
+  ``(members, caps)`` problem and runs progressive filling on it; *which*
+  core depends on the problem's flow count.  Problems at or above
   :data:`~repro.sim.arrays.DEFAULT_ARRAY_CROSSOVER` flows run the
-  numpy-vectorized :mod:`repro.sim.arrays` core against the resident
-  :class:`~repro.sim.arrays.InternedProblem` (stable integer slots, dense
-  vectors, pre-interned incidence — maintained by the mutation API, never
-  rebuilt per solve); smaller components run the scalar reference core,
-  whose per-solve constant costs are lower.  The paths agree within
-  floating-point accumulation order (1e-6, enforced by the seeded property
-  suite in ``tests/test_sim_arrays.py``), and
+  numpy-vectorized :mod:`repro.sim.arrays` core; smaller ones run the
+  scalar reference core, whose per-solve constant costs are lower.  The
+  cores agree within floating-point accumulation order (1e-6, enforced by
+  the seeded property suite in ``tests/test_sim_arrays.py``), and
   :attr:`SolverStats.scalar_fills` / :attr:`SolverStats.array_fills`
-  report which path each solve took.
+  report which core each fill took.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
 from ..trace.recorder import TRACER
-from .arrays import (
-    DEFAULT_ARRAY_CROSSOVER,
-    HAVE_NUMPY,
-    make_interned_problem,
-    progressive_fill_array,
-)
+from .arrays import DEFAULT_ARRAY_CROSSOVER, progressive_fill_array
 from .bandwidth import (
     Constraint,
     FlowDemand,
@@ -100,14 +93,13 @@ class IncrementalMaxMinSolver:
             from the scalar core to the vectorized :mod:`repro.sim.arrays`
             core.  ``None`` uses the measured default; ``0`` forces the
             array path everywhere (tests), a very large value forces the
-            scalar path.  Ignored when numpy is unavailable.
+            scalar path.
     """
 
     def __init__(self, array_crossover: Optional[int] = None) -> None:
         self.array_crossover = (DEFAULT_ARRAY_CROSSOVER
                                 if array_crossover is None
                                 else array_crossover)
-        self._interned = make_interned_problem()
         self._flows: Dict[str, FlowDemand] = {}
         self._flow_order: Dict[str, int] = {}
         self._order_seq = itertools.count()
@@ -123,13 +115,10 @@ class IncrementalMaxMinSolver:
         # stateless function's solve-time membership semantics).
         self._virtual_by_flow: Dict[str, Set[str]] = {}
 
-        # Epoch-keyed dirtiness: every mutation bumps _epoch and stamps the
-        # flows/constraints it touched; anything stamped after
-        # _solved_epoch is dirty.
-        self._epoch = 0
-        self._solved_epoch = 0
-        self._touched_flows: Dict[str, int] = {}
-        self._touched_cids: Dict[str, int] = {}
+        # What mutations touched since the last solve.  Insertion-ordered
+        # dicts, not sets: component discovery follows this order.
+        self._touched_flows: Dict[str, None] = {}
+        self._touched_cids: Dict[str, None] = {}
         self._loaded_clean = True  # nothing ever solved -> full solve first
 
         self._rates: Dict[str, float] = {}
@@ -152,7 +141,7 @@ class IncrementalMaxMinSolver:
         if not flows:
             return {}
         members, caps = build_problem(flows, capacities, extra_constraints)
-        if HAVE_NUMPY and len(flows) >= DEFAULT_ARRAY_CROSSOVER:
+        if len(flows) >= DEFAULT_ARRAY_CROSSOVER:
             rates = progressive_fill_array(flows, members, caps)
         else:
             rates = progressive_fill(flows, members, caps)
@@ -162,7 +151,7 @@ class IncrementalMaxMinSolver:
 
     def set_capacity(self, constraint_id: str, capacity: float) -> None:
         """Register or update a physical constraint's capacity (bytes/s)."""
-        if capacity < 0:
+        if not capacity >= 0:
             raise ValueError(
                 f"constraint {constraint_id!r}: capacity must be >= 0"
             )
@@ -176,19 +165,7 @@ class IncrementalMaxMinSolver:
         if previous == value:
             return
         self._capacities[constraint_id] = value
-        self._interned.set_capacity(constraint_id, value)
         if previous is not None:
-            self._touch_constraint(constraint_id)
-
-    def remove_capacity(self, constraint_id: str) -> None:
-        """Forget a physical constraint.  It must be unused by every flow."""
-        if self._members.get(constraint_id):
-            raise ValueError(
-                f"constraint {constraint_id!r} still crossed by flows"
-            )
-        if self._capacities.pop(constraint_id, None) is not None:
-            self._members.pop(constraint_id, None)
-            self._interned.remove_capacity(constraint_id)
             self._touch_constraint(constraint_id)
 
     def set_flow(self, flow: FlowDemand) -> None:
@@ -207,15 +184,11 @@ class IncrementalMaxMinSolver:
             if existing.links != flow.links:
                 self._unlink_flow(fid, existing)
                 self._link_flow(fid, flow)
-                self._interned.set_flow(fid, flow.links,
-                                        flow.demand, flow.weight)
             else:
                 self._touch_flow(fid)
-                self._interned.set_flow_params(fid, flow.demand, flow.weight)
         else:
             self._flow_order[fid] = next(self._order_seq)
             self._link_flow(fid, flow)
-            self._interned.set_flow(fid, flow.links, flow.demand, flow.weight)
         self._flows[fid] = flow
 
     def set_flow_params(self, flow_id: str,
@@ -235,7 +208,6 @@ class IncrementalMaxMinSolver:
             flow_id=flow_id, links=current.links,
             demand=new_demand, weight=new_weight,
         )
-        self._interned.set_flow_params(flow_id, new_demand, new_weight)
         self._touch_flow(flow_id)
 
     def remove_flow(self, flow_id: str) -> None:
@@ -246,7 +218,6 @@ class IncrementalMaxMinSolver:
         self._unlink_flow(flow_id, flow)
         self._flow_order.pop(flow_id, None)
         self._rates.pop(flow_id, None)
-        self._interned.remove_flow(flow_id)
         self._touched_flows.pop(flow_id, None)
 
     def set_constraint(self, constraint: Constraint) -> None:
@@ -271,7 +242,6 @@ class IncrementalMaxMinSolver:
             self._unlink_virtual(cid, existing)
         self._virtual[cid] = constraint
         self._link_virtual(cid, constraint)
-        self._interned.set_constraint_capacity(cid, float(constraint.capacity))
         self._touch_constraint(cid)
 
     def remove_constraint(self, constraint_id: str) -> None:
@@ -282,7 +252,6 @@ class IncrementalMaxMinSolver:
         for fid in self._members.get(constraint_id, set()):
             self._touch_flow(fid)
         self._unlink_virtual(constraint_id, constraint)
-        self._interned.remove_constraint(constraint_id)
         self._touched_cids.pop(constraint_id, None)
 
     # -- queries -------------------------------------------------------------
@@ -302,11 +271,6 @@ class IncrementalMaxMinSolver:
     def rate(self, flow_id: str) -> float:
         """Last solved rate of *flow_id* (0.0 if never solved)."""
         return self._rates.get(flow_id, 0.0)
-
-    @property
-    def epoch(self) -> int:
-        """Monotonic mutation counter (bumped once per effective change)."""
-        return self._epoch
 
     def is_dirty(self) -> bool:
         """Whether the next :meth:`solve` has work to do."""
@@ -357,42 +321,29 @@ class IncrementalMaxMinSolver:
             self._incremental_solve()
         else:
             self.stats.noop_solves += 1
-        self._solved_epoch = self._epoch
         self._touched_flows.clear()
         self._touched_cids.clear()
         return dict(self._rates)
 
-    def _use_array(self, n_flows: int) -> bool:
-        return HAVE_NUMPY and n_flows >= self.array_crossover
-
-    def _virtual_edges(self) -> List[Tuple[str, List[str]]]:
-        """Every virtual constraint's resident membership (array gather)."""
-        edges = []
-        for cid in self._virtual:
-            bound = self._members.get(cid)
-            if bound:
-                edges.append((cid, list(bound)))
-        return edges
+    def _fill(self, flows: List[FlowDemand],
+              members: Dict[str, List[int]],
+              caps: Dict[str, float]) -> List[float]:
+        """Water-fill one built problem on the core its size selects."""
+        if len(flows) >= self.array_crossover:
+            rates = progressive_fill_array(flows, members, caps)
+            self.stats.array_fills += 1
+        else:
+            rates = progressive_fill(flows, members, caps)
+            self.stats.scalar_fills += 1
+        return rates
 
     def _full_solve(self) -> None:
         flows = list(self._flows.values())
-        if self._use_array(len(flows)):
-            fids = [f.flow_id for f in flows]
-            rates = self._interned.solve(fids, self._virtual_edges(),
-                                         full=True)
-            self._rates = dict(zip(fids, rates))
-            self.stats.array_fills += 1
-        elif flows:
-            # Runs the scalar core directly (not solve_once, which applies
-            # the module-default crossover) so the instance's
-            # array_crossover is authoritative — tests force a path with it.
+        if flows:
             members, caps = build_problem(flows, self._capacities,
                                           self._virtual.values())
-            rates = progressive_fill(flows, members, caps)
+            rates = self._fill(flows, members, caps)
             self._rates = {f.flow_id: rates[i] for i, f in enumerate(flows)}
-            self._interned.store_rates(self._rates.keys(),
-                                       self._rates.values())
-            self.stats.scalar_fills += 1
         else:
             self._rates = {}
         self.stats.full_solves += 1
@@ -446,20 +397,6 @@ class IncrementalMaxMinSolver:
 
     def _solve_component(self, component: List[str]) -> None:
         """Re-solve one component, picking the core by component size."""
-        if self._use_array(len(component)):
-            component_set = set(component)
-            virtual_edges = []
-            for cid in self._virtual:
-                bound = self._members.get(cid)
-                if bound:
-                    inside = bound & component_set
-                    if inside:
-                        virtual_edges.append((cid, list(inside)))
-            rates = self._interned.solve(component, virtual_edges)
-            for fid, rate in zip(component, rates):
-                self._rates[fid] = rate
-            self.stats.array_fills += 1
-            return
         flows = [self._flows[fid] for fid in component]
         # Inline problem build: resident flows were validated at set_flow
         # time, so this skips build_problem's unknown-constraint checks and
@@ -481,21 +418,17 @@ class IncrementalMaxMinSolver:
                 if inside:
                     members[cid] = [index[fid] for fid in inside]
                     caps[cid] = float(constraint.capacity)
-        rates = progressive_fill(flows, members, caps)
+        rates = self._fill(flows, members, caps)
         for i, f in enumerate(flows):
             self._rates[f.flow_id] = rates[i]
-        self._interned.store_rates(component, rates)
-        self.stats.scalar_fills += 1
 
     # -- internal bookkeeping ------------------------------------------------
 
     def _touch_flow(self, flow_id: str) -> None:
-        self._epoch += 1
-        self._touched_flows[flow_id] = self._epoch
+        self._touched_flows[flow_id] = None
 
     def _touch_constraint(self, cid: str) -> None:
-        self._epoch += 1
-        self._touched_cids[cid] = self._epoch
+        self._touched_cids[cid] = None
 
     def _link_flow(self, fid: str, flow: FlowDemand) -> None:
         cids = set(flow.links)

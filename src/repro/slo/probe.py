@@ -23,6 +23,7 @@ Two consumption paths:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -62,15 +63,16 @@ class SloConfig:
     keep_samples: bool = False
 
     def __post_init__(self) -> None:
-        if self.probe_period <= 0:
-            raise SloError(
-                f"probe_period must be > 0, got {self.probe_period}")
+        # A NaN or infinite period never schedules a sweep in range.
+        if not 0 < self.probe_period < math.inf:
+            raise SloError(f"probe_period must be finite and > 0, "
+                           f"got {self.probe_period}")
         if self.sample_stride < 1:
             raise SloError(
                 f"sample_stride must be >= 1, got {self.sample_stride}")
-        if self.message_size < 0:
-            raise SloError(
-                f"message_size must be >= 0, got {self.message_size}")
+        if not 0 <= self.message_size < math.inf:
+            raise SloError(f"message_size must be finite and >= 0, "
+                           f"got {self.message_size}")
         names = [o.name for o in self.objectives]
         if len(set(names)) != len(names):
             raise SloError(f"duplicate objective names in {names}")

@@ -77,12 +77,36 @@ class LatencyRegressionConfig:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise SloError(f"{name} must be finite and > 0, got {value}")
+        if self.tenants < 1:
+            raise SloError(f"tenants must be >= 1, got {self.tenants}")
+        # The fault injector's degrade accepts (0, 1].
+        if not 0 < self.degrade_factor <= 1:
+            raise SloError(f"degrade_factor must be in (0, 1], "
+                           f"got {self.degrade_factor}")
+        if self.max_moves < 0:
+            raise SloError(f"max_moves must be >= 0, got {self.max_moves}")
         if not 0 <= self.degrade_at <= self.horizon:
             raise SloError(
                 f"degrade_at={self.degrade_at} outside the horizon "
                 f"[0, {self.horizon}]")
-        if self.restore_at is not None and self.restore_at < self.degrade_at:
-            raise SloError("restore_at must not precede degrade_at")
+        if (self.restore_at is not None
+                and not self.restore_at >= self.degrade_at):
+            raise SloError(f"restore_at must not precede degrade_at, "
+                           f"got {self.restore_at}")
+        try:  # the probe and objective fields, checked where they are used
+            self.slo_config()
+        except ValueError as exc:
+            raise SloError(str(exc)) from None
+
+    def slo_config(self) -> SloConfig:
+        """The probe sweep and objective this scenario arms."""
+        objective = SloObjective(
+            "fleet-p99", self.bound, percentile=self.percentile,
+            period=self.budget_period)
+        return SloConfig(
+            objectives=(objective,), probe_period=self.probe_period,
+            sample_stride=self.sample_stride,
+            message_size=self.message_size, keep_samples=True)
 
 
 @dataclass
@@ -181,13 +205,8 @@ def run_latency_regression(
     from ..fleet.workload import FleetChurnConfig, generate_events
 
     config = config or LatencyRegressionConfig()
-    objective = SloObjective(
-        "fleet-p99", config.bound, percentile=config.percentile,
-        period=config.budget_period)
-    slo = SloConfig(
-        objectives=(objective,), probe_period=config.probe_period,
-        sample_stride=config.sample_stride,
-        message_size=config.message_size, keep_samples=True)
+    slo = config.slo_config()
+    objective = slo.objectives[0]
     fleet = Fleet(
         "cascade_lake_2s", hosts=config.hosts, policy="best-fit",
         clock=clock, slo=slo,

@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import zlib
 from dataclasses import dataclass
@@ -89,6 +90,12 @@ class IngestConfig:
     max_bandwidth: float = Gbps(200)
     tenant_buckets: int = 64
     bidirectional_every: int = 4
+
+    def __post_init__(self) -> None:
+        # A NaN or infinite scale overflows the rebased arrivals.
+        if not 0 < self.time_scale < math.inf:
+            raise WorkloadError(f"time_scale must be finite and > 0, "
+                                f"got {self.time_scale}")
 
     def project_bandwidth(self, cpu_cores: float, mem_units: float) -> float:
         """The multi-resource → bandwidth projection, clamped."""

@@ -18,6 +18,7 @@ so a future reader can refuse what it does not understand.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -221,11 +222,12 @@ def rebase_and_scale(tasks: List[ClusterTask], time_scale: float = 1.0,
     tractable.  Durations scale with arrivals so the *load shape* (the
     concurrency profile) is preserved exactly.
     """
-    if time_scale <= 0:
-        raise WorkloadError(f"time_scale must be > 0, got {time_scale}")
-    if bandwidth_scale <= 0:
+    if not 0 < time_scale < math.inf:
         raise WorkloadError(
-            f"bandwidth_scale must be > 0, got {bandwidth_scale}"
+            f"time_scale must be finite and > 0, got {time_scale}")
+    if not 0 < bandwidth_scale < math.inf:
+        raise WorkloadError(
+            f"bandwidth_scale must be finite and > 0, got {bandwidth_scale}"
         )
     if not tasks:
         return []

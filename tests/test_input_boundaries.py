@@ -19,10 +19,24 @@ import pytest
 import repro
 from repro import Host, cascade_lake_2s, pipe
 from repro.errors import ClockError, FleetError, SloError, WorkloadError
-from repro.fleet import FleetChaosConfig, FleetChurnConfig
-from repro.slo import LatencyRegressionConfig, SloObjective
+from repro.fleet import (
+    FleetChaosConfig,
+    FleetChurnConfig,
+    FleetFaultConfig,
+    FleetRecoveryConfig,
+    MigrationPlanner,
+)
+from repro.sim import Constraint, FlowDemand, IncrementalMaxMinSolver
+from repro.slo import LatencyRegressionConfig, SloConfig, SloObjective
 from repro.units import Gbps, us
-from repro.workloads.cluster_traces import ReplayConfig, SynthTraceConfig
+from repro.workloads.cluster_traces import (
+    IngestConfig,
+    ReplayConfig,
+    SynthTraceConfig,
+)
+from repro.workloads.cluster_traces.schema import rebase_and_scale
+
+from .test_cluster_traces import FIXTURE
 
 NAN = math.nan
 INF = math.inf
@@ -35,6 +49,15 @@ def _host_run_until_nan():
         host.run_until(NAN)
     finally:
         host.shutdown()
+
+
+def _solver_set_capacity(value):
+    IncrementalMaxMinSolver().set_capacity("a", value)
+
+
+def _planner(rebalance_threshold):
+    # The threshold is checked before the planner touches its fleet.
+    MigrationPlanner(None, None, rebalance_threshold=rebalance_threshold)
 
 
 def _cases():
@@ -83,6 +106,63 @@ def _cases():
         ValueError, id="pipe-latency_slo=nan")
     yield pytest.param(_host_run_until_nan, {}, ClockError,
                        id="host-run_until=nan")
+    # The solver's own boundary: a NaN demand used to be filled like an
+    # elastic flow, and a NaN capacity failed only at the next solve.
+    for value in (NAN, INF):
+        yield pytest.param(FlowDemand, {"flow_id": "f", "links": ("a",),
+                                        "weight": value},
+                           ValueError, id=f"flow-demand-weight={value}")
+    yield pytest.param(FlowDemand, {"flow_id": "f", "links": ("a",),
+                                    "demand": NAN},
+                       ValueError, id="flow-demand-demand=nan")
+    yield pytest.param(Constraint, {"constraint_id": "c", "capacity": NAN},
+                       ValueError, id="constraint-capacity=nan")
+    yield pytest.param(_solver_set_capacity, {"value": NAN}, ValueError,
+                       id="solver-set_capacity=nan")
+    for value in (NAN, INF):
+        yield pytest.param(SloConfig, {"probe_period": value}, SloError,
+                           id=f"slo-config-probe_period={value}")
+        yield pytest.param(LatencyRegressionConfig, {"probe_period": value},
+                           SloError, id=f"slo-scenario-probe_period={value}")
+    yield pytest.param(SloConfig, {"message_size": NAN}, SloError,
+                       id="slo-config-message_size=nan")
+    yield pytest.param(LatencyRegressionConfig, {"message_size": NAN},
+                       SloError, id="slo-scenario-message_size=nan")
+    yield pytest.param(LatencyRegressionConfig, {"restore_at": NAN},
+                       SloError, id="slo-scenario-restore_at=nan")
+    for field, value in (("tenants", 0), ("bound", NAN), ("bound", -1.0),
+                         ("sample_stride", 0), ("degrade_factor", NAN),
+                         ("degrade_factor", 0.0), ("degrade_factor", 2.0),
+                         ("max_moves", -1)):
+        yield pytest.param(LatencyRegressionConfig, {field: value},
+                           SloError, id=f"slo-scenario-{field}={value}")
+    for value in (NAN, INF):
+        yield pytest.param(IngestConfig, {"time_scale": value},
+                           WorkloadError, id=f"ingest-time_scale={value}")
+        for field in ("time_scale", "bandwidth_scale"):
+            yield pytest.param(rebase_and_scale, {"tasks": [], field: value},
+                               WorkloadError,
+                               id=f"rebase-{field}={value}")
+    for value in (NAN, -1.0):
+        yield pytest.param(_planner, {"rebalance_threshold": value},
+                           FleetError,
+                           id=f"planner-rebalance_threshold={value}")
+    for value in (NAN, INF):
+        yield pytest.param(FleetFaultConfig, {"horizon": value}, FleetError,
+                           id=f"fault-horizon={value}")
+    for field, value, name in (("degrade_factor", (NAN, 0.5), "nan,0.5"),
+                               ("outage_fraction", (NAN, 0.3), "nan,0.3"),
+                               ("crash_weight", NAN, "nan"),
+                               ("crash_weight", -1.0, "-1.0")):
+        yield pytest.param(FleetFaultConfig, {field: value}, FleetError,
+                           id=f"fault-{field}={name}")
+    yield pytest.param(FleetFaultConfig,
+                       {"crash_weight": 0.0, "degrade_weight": 0.0,
+                        "partition_weight": 0.0},
+                       FleetError, id="fault-weights-all-zero")
+    for field in ("retry_backoff", "backoff_growth", "retry_timeout"):
+        yield pytest.param(FleetRecoveryConfig, {field: NAN}, FleetError,
+                           id=f"recovery-{field}=nan")
 
 
 CLI_CASES = [
@@ -99,7 +179,24 @@ CLI_CASES = [
     ("slo", "--horizon", "inf"),
     ("replay", "--horizon", "nan"),
     ("replay", "--slo-stretch", "nan"),
+    ("slo", "--probe-period", "nan"),
+    ("replay", "--time-scale", "nan"),
+    ("replay", "--time-scale", "inf"),
+    ("run", "--rebalance-threshold", "nan"),
+    ("run", "--rebalance-threshold", "-1"),
+    ("slo", "--bound", "nan"),
+    ("slo", "--sample-stride", "0"),
+    ("slo", "--degrade-factor", "nan"),
+    ("slo", "--max-moves", "-1"),
+    ("replay", "--slo-bound", "nan"),
+    ("replay", "--domains", "0"),
+    ("replay", "--faults", "-1"),
+    ("chaos", "--domains", "0"),
 ]
+
+#: Arguments a case needs before its flag is read at all.
+CLI_EXTRA_ARGS = {"--time-scale": ("--trace", FIXTURE),
+                  "--slo-bound": ("--slo",)}
 
 
 @pytest.mark.parametrize("build, kwargs, error", _cases())
@@ -113,7 +210,8 @@ def test_constructor_rejects_bad_value(build, kwargs, error):
 def test_fleet_cli_rejects_bad_value(command, flag, value):
     env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
     run = subprocess.run(
-        [sys.executable, "-m", "repro", "fleet", command, flag, value],
+        [sys.executable, "-m", "repro", "fleet", command,
+         *CLI_EXTRA_ARGS.get(flag, ()), flag, value],
         env=env, capture_output=True, text=True, timeout=CLI_TIMEOUT_S)
     assert run.returncode == 2, run.stderr[-400:]
     name = flag.lstrip("-").replace("-", "_")

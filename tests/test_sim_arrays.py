@@ -1,13 +1,13 @@
-"""Scalar/array water-filling equivalence and the interned problem state.
+"""Scalar/array water-filling equivalence.
 
 The vectorized core in ``repro.sim.arrays`` must produce the same rates as
 the scalar reference within floating-point accumulation order (1e-6
 relative).  This suite enforces that with a seeded property sweep over
 randomly generated problems — mixed elastic/finite demands, virtual
 constraints, zero-capacity links, repeated link crossings — plus
-solver-level forced-path equivalence over whole mutation sequences, path
-selection around the crossover, and the stats counters that report which
-core ran.
+solver-level forced-core equivalence over whole mutation sequences (both
+cores take the same per-solve build), core selection around the
+crossover, and the stats counters that report which core ran.
 """
 
 import math
@@ -15,17 +15,13 @@ import random
 
 import pytest
 
-from repro.sim import DEFAULT_ARRAY_CROSSOVER, HAVE_NUMPY, IncrementalMaxMinSolver
-from repro.sim.arrays import make_interned_problem, progressive_fill_array
+from repro.sim import DEFAULT_ARRAY_CROSSOVER, IncrementalMaxMinSolver
+from repro.sim.arrays import progressive_fill_array
 from repro.sim.bandwidth import (
     Constraint,
     FlowDemand,
     build_problem,
     progressive_fill,
-)
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="vectorized core requires numpy"
 )
 
 N_SEEDS = 220
@@ -181,7 +177,7 @@ def test_solver_paths_agree_over_mutation_stream(seed):
 
 
 # ---------------------------------------------------------------------------
-# Path selection, stats counters, and interned-state behavior.
+# Core selection and the stats counters.
 # ---------------------------------------------------------------------------
 
 
@@ -228,7 +224,7 @@ def test_incremental_component_path_pick_is_per_component():
 
 
 def test_rates_survive_path_switch():
-    """Rates solved on one path are reused verbatim by the other epoch."""
+    """Rates solved on one core are reused verbatim by the next solve."""
     solver = IncrementalMaxMinSolver(array_crossover=4)
     solver.set_capacity("a", 100.0)
     solver.set_capacity("b", 60.0)
@@ -240,20 +236,6 @@ def test_rates_survive_path_switch():
     second = solver.solve()
     for fid in (f"a{i}" for i in range(6)):
         assert second[fid] == first[fid]
-
-
-def test_interned_problem_slot_reuse():
-    """Removed flows free their slots; re-adding reuses them."""
-    interned = make_interned_problem()
-    interned.set_capacity("c", 10.0)
-    for round_no in range(5):
-        for i in range(40):
-            interned.set_flow(f"f{i}", ("c",), math.inf, 1.0)
-        for i in range(40):
-            interned.remove_flow(f"f{i}")
-    # Vector capacity stayed bounded by the live high-water mark, not the
-    # total number of set_flow calls.
-    assert len(interned.weights) < 200
 
 
 def test_zero_capacity_constraint_parks_flows_on_both_paths():
