@@ -53,6 +53,7 @@ import sys
 from typing import List, Optional
 
 from .diagnostics import hostperf, hostping, hosttrace, troubleshoot
+from .errors import MonitorError, TopologyError
 from .monitor import FailureInjector, HostMonitor
 from .sim import Engine, FabricNetwork
 from .topology import PRESETS, load_preset
@@ -100,7 +101,12 @@ def cmd_describe(args: argparse.Namespace) -> int:
 def cmd_ping(args: argparse.Namespace) -> int:
     """hostping between two devices on a fresh simulated host."""
     network = _build_network(args.preset, args.load)
-    print(hostping(network, args.src, args.dst, count=args.count).describe())
+    try:
+        report = hostping(network, args.src, args.dst, count=args.count)
+    except (MonitorError, TopologyError) as exc:
+        print(f"ping: {exc}", file=sys.stderr)
+        return 2
+    print(report.describe())
     return 0
 
 
@@ -117,11 +123,22 @@ def cmd_trace(args: argparse.Namespace) -> int:
     """
     if args.dst is not None:
         network = _build_network(args.preset, args.load)
-        print(hosttrace(network, args.src, args.dst).describe())
+        try:
+            report = hosttrace(network, args.src, args.dst)
+        except TopologyError as exc:
+            print(f"trace: {exc}", file=sys.stderr)
+            return 2
+        print(report.describe())
         return 0
     if args.src not in TRACE_SCENARIOS:
         print(f"trace: {args.src!r} is neither 'SRC DST' devices nor a "
               f"scenario ({'/'.join(TRACE_SCENARIOS)})", file=sys.stderr)
+        return 2
+    # The churn scenario spawns transfers forever: an infinite run never
+    # returns, and a NaN or negative one poisons the clock.
+    if not 0 < args.sim_seconds < math.inf:
+        print(f"trace: --sim-seconds must be finite and > 0, "
+              f"got {args.sim_seconds}", file=sys.stderr)
         return 2
     return _cmd_trace_scenario(args)
 
@@ -215,8 +232,13 @@ def pipe_intent(intent_id: str, tenant: str, src: str, dst: str,
 def cmd_perf(args: argparse.Namespace) -> int:
     """hostperf achievable-bandwidth probe."""
     network = _build_network(args.preset, args.load)
-    print(hostperf(network, args.src, args.dst,
-                   duration=args.duration).describe())
+    try:
+        report = hostperf(network, args.src, args.dst,
+                          duration=args.duration)
+    except (MonitorError, TopologyError) as exc:
+        print(f"perf: {exc}", file=sys.stderr)
+        return 2
+    print(report.describe())
     return 0
 
 

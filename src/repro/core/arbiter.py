@@ -287,18 +287,20 @@ class DynamicArbiter:
         self._quiesced_state: Optional[tuple] = None
         # Per-directed-link incremental state.  A link's allocation is a
         # pure function of a small input signature (its floor version, the
-        # best-effort roster version, capacity, ceiling, usage state, mode
-        # flags); churn moves one link's floors at a time, so most links
-        # present an unchanged signature each round and reuse their cached
-        # allocation — and caps are re-programmed into the fabric only for
-        # links whose signature moved since the last emission.
+        # best-effort roster version, capacity, ceiling, the link's own
+        # {tenant: rate} map — or "idle" on a flowless fabric — and the
+        # mode flags); churn moves one link's floors at a time, and a
+        # re-solve moves only the usage of links its flows cross, so most
+        # links present an unchanged signature each round and reuse their
+        # cached allocation — and caps are re-programmed into the fabric
+        # only for links whose signature moved since the last emission.
         self._floor_versions: Dict[Tuple[str, str], int] = {}
         self._best_effort_version = 0
         self._link_cache: Dict[Tuple[str, str], tuple] = {}
         self._emitted_sig: Dict[Tuple[str, str], tuple] = {}
         self._emitted_caps: Dict[Tuple[str, str], Dict[str, float]] = {}
         self._applying = False
-        # When the round's global inputs (roster, modes, usage state,
+        # When the round's global inputs (roster, modes, the idle marker,
         # recompute counter) are unchanged, only keys explicitly dirtied
         # by a floor/ceiling mutation can differ — the loop reuses every
         # other key's cached allocation without even rebuilding its
@@ -308,6 +310,9 @@ class DynamicArbiter:
 
         self.adjustments = 0
         self.skipped_adjustments = 0
+        #: :func:`compute_caps` calls made by adjustment rounds; a link
+        #: whose signature is unchanged reuses its cached allocation.
+        self.allocations_computed = 0
         self.last_allocations: List[LinkAllocation] = []
 
     # -- configuration ----------------------------------------------------------
@@ -427,12 +432,9 @@ class DynamicArbiter:
         return merged
 
     def managed_links(self) -> List[str]:
-        """Links with at least one floor (either direction), deduplicated."""
-        seen: List[str] = []
-        for link_id, _direction in self._floors:
-            if link_id not in seen:
-                seen.append(link_id)
-        return seen
+        """Links with at least one floor (either direction), deduplicated
+        in first-appearance order."""
+        return list(dict.fromkeys(link_id for link_id, _d in self._floors))
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -531,11 +533,13 @@ class DynamicArbiter:
         # One (link, direction, {tenant: cap}) entry per directed link
         # whose caps moved, in emission order.
         pending: List[Tuple[str, str, Dict[str, float]]] = []
-        # On a fabric with no live flows every usage reading is zero; any
-        # nonzero rate can only change when the fabric re-solves, so the
-        # recompute counter stands in for all usage state.
+        # On a fabric with no live flows every usage reading is zero, so
+        # "idle" stands in for every link's usage; otherwise each link's
+        # signature carries that link's own {tenant: rate} map.  For the
+        # per-key fast loop, usage can only move when the fabric re-solves.
         fabric_idle = not self.network.active_flows()
         usage_token = "idle" if fabric_idle else self.network.recompute_count
+        tenant_link_rates = self.network.tenant_link_rates
         mode = (self.work_conserving, self.lend_parked_floors,
                 self.demand_aware)
         # With unchanged global inputs, only explicitly-dirtied keys can
@@ -562,23 +566,29 @@ class DynamicArbiter:
             # actually carry right now.
             capacity = (link.effective_capacity if self.degradation_aware
                         else link.capacity)
+            if fabric_idle:
+                link_usage = "idle"
+            else:
+                tenants = set(floors) | self._best_effort
+                tenants.discard(SYSTEM_TENANT)
+                # The signature compares this map with ``==``: a tuple of
+                # its values would depend on set iteration order.
+                usages = link_usage = tenant_link_rates(link_id, direction,
+                                                        tenants)
             sig = (self._floor_versions.get(key, 0),
                    self._best_effort_version, capacity,
-                   self.ceiling_on(link_id), usage_token, mode)
+                   self.ceiling_on(link_id), link_usage, mode)
             cached = self._link_cache.get(key)
             if cached is not None and cached[0] == sig:
                 allocation, caps = cached[1], cached[2]
             else:
-                tenants = set(floors) | self._best_effort
-                tenants.discard(SYSTEM_TENANT)
+                self.allocations_computed += 1
                 if fabric_idle:
+                    # Built only on a miss: an idle link's signature needs
+                    # no tenant set.
+                    tenants = set(floors) | self._best_effort
+                    tenants.discard(SYSTEM_TENANT)
                     usages = dict.fromkeys(tenants, 0.0)
-                else:
-                    usages = {
-                        tenant: self.network.tenant_link_rate(
-                            tenant, link_id, direction)
-                        for tenant in tenants
-                    }
                 best_effort_here = {
                     t for t in self._best_effort if t not in floors
                 }

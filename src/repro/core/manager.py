@@ -342,10 +342,12 @@ class HostNetworkManager:
         if intent_id in bucket:
             bucket.remove(intent_id)
         # Lift caps on links the arbiter no longer manages; one batched
-        # re-solve covers every lifted cap.
+        # re-solve covers every lifted cap (lifting touches no floor, so
+        # the managed set is read once).
+        managed = set(self.arbiter.managed_links())
         with self.network.batch():
             for link_id in placement.links():
-                if link_id not in self.arbiter.managed_links():
+                if link_id not in managed:
                     self.arbiter.lift_link_caps(link_id)
         self.arbiter.adjust_once()
         self._mark_changed()

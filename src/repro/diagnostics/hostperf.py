@@ -9,6 +9,7 @@ toolkit runs it last during automated troubleshooting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -76,8 +77,8 @@ def hostperf(
         use_widest_path: Probe the max-capacity path instead of the
             min-latency path.
     """
-    if duration <= 0:
-        raise MonitorError(f"duration must be > 0, got {duration}")
+    if not 0 < duration < math.inf:
+        raise MonitorError(f"duration must be finite and > 0, got {duration}")
     pick = widest_path if use_widest_path else shortest_path
     path = pick(network.topology, src, dst)
     flow = network.start_transfer(

@@ -33,7 +33,12 @@ from .faults import (
 )
 from .invariants import check_fleet_invariants
 from .recovery import FleetRecoveryConfig, FleetRecoveryController
-from .workload import FleetChurnConfig, check_churn_rates, generate_events
+from .workload import (
+    FleetChurnConfig,
+    check_churn_rates,
+    check_count,
+    generate_events,
+)
 
 
 @dataclass(frozen=True)
@@ -85,6 +90,11 @@ class FleetChaosConfig:
                 f"evacuate to), got {self.hosts}")
         check_churn_rates(self.horizon, self.arrival_rate,
                           self.mean_holding)
+        check_count("failure_domains", self.failure_domains)
+        check_count("tenants", self.tenants)
+        check_count("faults", self.faults, minimum=0)
+        if self.max_attempts is not None:
+            check_count("max_attempts", self.max_attempts)
 
 
 @dataclass

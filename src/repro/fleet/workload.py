@@ -65,6 +65,17 @@ class FleetChurnConfig:
     def __post_init__(self) -> None:
         check_churn_rates(self.horizon, self.arrival_rate,
                           self.mean_holding)
+        check_count("tenants", self.tenants)
+        for name in ("large_fraction", "bidirectional_fraction"):
+            value = getattr(self, name)
+            if not 0 <= value <= 1:  # also rejects NaN
+                raise FleetError(f"{name} must be in [0, 1], got {value}")
+        for name in ("small_bandwidth", "large_bandwidth"):
+            lo, hi = getattr(self, name)
+            if not 0 < lo <= hi < math.inf:
+                raise FleetError(
+                    f"{name} must be finite with 0 < lo <= hi, "
+                    f"got ({lo}, {hi})")
 
 
 def check_churn_rates(horizon: float, arrival_rate: float,
@@ -78,6 +89,12 @@ def check_churn_rates(horizon: float, arrival_rate: float,
         if not 0 < value < math.inf:
             raise FleetError(
                 f"{name} must be finite and > 0, got {value}")
+
+
+def check_count(name: str, value: int, minimum: int = 1) -> None:
+    """Raise :class:`FleetError` unless the count *value* is >= *minimum*."""
+    if not value >= minimum:
+        raise FleetError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass

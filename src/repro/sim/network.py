@@ -482,6 +482,20 @@ class FabricNetwork:
         self.flush_recompute()
         return self._rate_sums().get((tenant_id, link_id, direction), 0.0)
 
+    def tenant_link_rates(self, link_id: str, direction: Optional[str],
+                          tenants: Iterable[str]) -> Dict[str, float]:
+        """Instantaneous rate of each of *tenants* on one link, in one read.
+
+        Each value equals :meth:`tenant_link_rate`'s for that tenant (both
+        read the same sums); a tenant with no flow there reads ``0.0``.
+        """
+        if link_id not in self._link_bytes:
+            raise UnknownLinkError(link_id)
+        self.flush_recompute()
+        sums = self._rate_sums()
+        return {tenant: sums.get((tenant, link_id, direction), 0.0)
+                for tenant in tenants}
+
     def link_bytes(self, link_id: str,
                    direction: Optional[str] = None) -> float:
         """Cumulative bytes carried by *link_id* up to now (ground truth).

@@ -163,6 +163,26 @@ def _cases():
     for field in ("retry_backoff", "backoff_growth", "retry_timeout"):
         yield pytest.param(FleetRecoveryConfig, {field: NAN}, FleetError,
                            id=f"recovery-{field}=nan")
+    # Counts: these used to fail only inside the run (a FleetError from
+    # the fleet or fault schedule, or an untyped ValueError from
+    # ``randrange`` with no tenants).
+    for field, value in (("failure_domains", 0), ("failure_domains", -2),
+                         ("faults", -1), ("max_attempts", 0),
+                         ("tenants", 0)):
+        yield pytest.param(FleetChaosConfig, {field: value}, FleetError,
+                           id=f"chaos-{field}={value}")
+    # The churn mix: fractions and bandwidth ranges used to run silently
+    # (a NaN bandwidth surfaced only from intent construction).
+    for field, value in (("tenants", 0),
+                         ("large_fraction", NAN), ("large_fraction", 2.0),
+                         ("bidirectional_fraction", NAN),
+                         ("bidirectional_fraction", -1.0),
+                         ("small_bandwidth", (NAN, Gbps(40))),
+                         ("small_bandwidth", (Gbps(40), Gbps(5))),
+                         ("small_bandwidth", (0.0, Gbps(5))),
+                         ("large_bandwidth", (Gbps(120), INF))):
+        yield pytest.param(FleetChurnConfig, {field: value}, FleetError,
+                           id=f"churn-{field}={value}")
 
 
 CLI_CASES = [
@@ -205,15 +225,50 @@ def test_constructor_rejects_bad_value(build, kwargs, error):
         build(**kwargs)
 
 
-@pytest.mark.parametrize("command, flag, value", CLI_CASES,
-                         ids=["-".join(case) for case in CLI_CASES])
-def test_fleet_cli_rejects_bad_value(command, flag, value):
+#: Host-level subcommands: each case ends with the bad flag and value, or
+#: with the bad device id.
+HOST_CLI_CASES = [
+    ("ping", "nic0", "dimm0-0", "--count", "0"),
+    ("ping", "nic0", "dimm0-0", "--count", "-1"),
+    ("ping", "nic0", "nope"),
+    ("perf", "nic0", "nope"),
+    ("trace", "nic0", "nope"),
+    ("perf", "nic0", "dimm0-0", "--duration", "nan"),
+    ("perf", "nic0", "dimm0-0", "--duration", "inf"),
+    ("perf", "nic0", "dimm0-0", "--duration", "0"),
+    ("perf", "nic0", "dimm0-0", "--duration", "-1"),
+    ("trace", "churn", "--sim-seconds", "inf"),
+    ("trace", "churn", "--sim-seconds", "nan"),
+    ("trace", "churn", "--sim-seconds", "-1"),
+    ("trace", "quickstart", "--sim-seconds", "nan"),
+]
+
+
+def _run_cli(argv, cwd):
     env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
-    run = subprocess.run(
-        [sys.executable, "-m", "repro", "fleet", command,
-         *CLI_EXTRA_ARGS.get(flag, ()), flag, value],
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv], cwd=cwd,
         env=env, capture_output=True, text=True, timeout=CLI_TIMEOUT_S)
+
+
+def _assert_rejected(run, name):
     assert run.returncode == 2, run.stderr[-400:]
-    name = flag.lstrip("-").replace("-", "_")
     assert name in run.stderr.replace("-", "_")
     assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("command, flag, value", CLI_CASES,
+                         ids=["-".join(case) for case in CLI_CASES])
+def test_fleet_cli_rejects_bad_value(command, flag, value, tmp_path):
+    run = _run_cli(["fleet", command, *CLI_EXTRA_ARGS.get(flag, ()),
+                    flag, value], tmp_path)
+    _assert_rejected(run, flag.lstrip("-").replace("-", "_"))
+
+
+@pytest.mark.parametrize("argv", HOST_CLI_CASES,
+                         ids=["-".join(case) for case in HOST_CLI_CASES])
+def test_host_cli_rejects_bad_value(argv, tmp_path):
+    # The message names the flag, or the device id that is not there.
+    bad = argv[-2] if argv[-2].startswith("--") else argv[-1]
+    _assert_rejected(_run_cli(argv, tmp_path),
+                     bad.lstrip("-").replace("-", "_"))

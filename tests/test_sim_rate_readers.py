@@ -1,7 +1,8 @@
 """The fabric's rate readers against a brute-force scan, bit for bit.
 
-``link_rate``, ``tenant_link_rate``, ``link_utilization`` and
-``link_utilizations`` answer from sums the fabric keeps between changes.
+``link_rate``, ``tenant_link_rate``, ``tenant_link_rates``,
+``link_utilization`` and ``link_utilizations`` answer from sums the fabric
+keeps between changes.
 Hypothesis drives random sequences of flow starts, cancels, reroutes,
 demand changes, degrades and clock steps on a ``cascade_lake_2s`` fabric,
 with and without coalesced re-solves, some of them inside ``batch()``.
@@ -13,16 +14,20 @@ of rates, flows or paths fails here.
 
 import math
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
+from repro.errors import UnknownLinkError
 from repro.sim import Engine, FabricNetwork
 from repro.sim.flows import Flow
 from repro.topology import cascade_lake_2s, k_shortest_paths
 from repro.units import Gbps
 
 TENANTS = ["t0", "t1", "t2"]
+#: Asked for by the bulk tenant reader but never given a flow.
+IDLE_TENANT = "t-idle"
 #: Both directions; the cross-socket pairs have two routes (one per UPI
 #: link), so their flows can be rerouted.
 ENDPOINT_PAIRS = [("nic0", "dimm0-0"), ("dimm0-0", "nic0"),
@@ -167,6 +172,14 @@ class RateReaderMachine(RuleBasedStateMachine):
                         tenant, link_id, direction) == scanned_rate(
                             flows, link_id, direction, tenant), \
                         (tenant, link_id, direction)
+                asked = [IDLE_TENANT, *reversed(TENANTS)]
+                rates = network.tenant_link_rates(link_id, direction, asked)
+                assert list(rates) == asked
+                assert rates == {
+                    tenant: network.tenant_link_rate(tenant, link_id,
+                                                     direction)
+                    for tenant in asked}, (link_id, direction)
+                assert rates[IDLE_TENANT] == 0.0
             utilization = network.link_utilization(link_id)
             assert utilization == scanned_utilization(network, flows, link_id)
             assert bulk[link_id] == utilization
@@ -183,3 +196,18 @@ RateReaderMachine.TestCase.settings = _SETTINGS
 CoalescedRateReaderMachine.TestCase.settings = _SETTINGS
 TestRateReaders = RateReaderMachine.TestCase
 TestRateReadersCoalesced = CoalescedRateReaderMachine.TestCase
+
+
+def test_bulk_tenant_reader_rejects_unknown_link():
+    network = FabricNetwork(cascade_lake_2s(), Engine())
+    with pytest.raises(UnknownLinkError):
+        network.tenant_link_rates("no-such-link", "fwd", TENANTS)
+
+
+def test_bulk_tenant_reader_reads_zero_without_flows():
+    network = FabricNetwork(cascade_lake_2s(), Engine())
+    path = k_shortest_paths(network.topology, "nic0", "dimm0-0", k=1)[0]
+    network.start_transfer("t0", path, demand=Gbps(10))
+    rates = network.tenant_link_rates(path.links[0], None,
+                                      ["t0", IDLE_TENANT])
+    assert rates == {"t0": Gbps(10), IDLE_TENANT: 0.0}
