@@ -17,6 +17,7 @@ deadline passes or the bounded queue overflows.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -166,8 +167,10 @@ class AdmissionController:
     """
 
     def __init__(self, ledger: ReservationLedger, headroom: float = 0.9) -> None:
-        if headroom <= 0:
-            raise ValueError(f"headroom must be > 0, got {headroom}")
+        # A NaN headroom would reject every intent without saying why.
+        if not 0 < headroom < math.inf:
+            raise ValueError(
+                f"headroom must be finite and > 0, got {headroom}")
         self.ledger = ledger
         self.headroom = headroom
         self.admitted_count = 0

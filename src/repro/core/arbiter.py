@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import (
+    AbstractSet, Container, Dict, List, Optional, Set, Tuple)
 
 from ..errors import ArbiterError
 from ..sim.engine import PeriodicTask
@@ -106,30 +107,18 @@ def compute_caps(
     """
     if not 0 < utilization_ceiling <= 1:
         raise ValueError("utilization_ceiling must be in (0, 1]")
+    tenants = set(floors) | set(best_effort)
+    if (work_conserving and demand_aware and tenants
+            and not any(usages.values())):
+        # All idle: the water-fill has a closed form.
+        return idle_caps(capacity, floors, tenants, best_effort,
+                         utilization_ceiling, lend_parked_floors)
     budget = capacity * utilization_ceiling
     reserved = sum(floors.values())
     spare = max(budget - reserved, 0.0)
     allowance = capacity * _RAMP_ALLOWANCE_FRACTION
-    tenants = set(floors) | set(best_effort)
 
-    caps: Dict[str, float]
-    if (work_conserving and demand_aware and tenants
-            and not any(usages.values())):
-        # All-idle fast path: every floor is parked and every demand
-        # estimate collapses to the ramp allowance, so the water-fill
-        # reduces to an equal split of the (lent) spare.  Every tenant
-        # without a floor holds the same cap, so the tenant set is filled
-        # with it in one step and only the floor-holders are overwritten.
-        if lend_parked_floors:
-            spare += reserved
-        share = spare / len(tenants)
-        caps = dict.fromkeys(tenants, max(0.0 + share, allowance))
-        for tenant, floor in floors.items():
-            cap = floor + share
-            caps[tenant] = (max(cap, allowance) if tenant in best_effort
-                            else cap)
-        return caps
-    caps = {}
+    caps: Dict[str, float] = {}
     if not work_conserving:
         for tenant, floor in floors.items():
             caps[tenant] = floor
@@ -174,6 +163,45 @@ def compute_caps(
         caps[tenant] = floors.get(tenant, 0.0) + allocation[tenant]
     for tenant in best_effort:
         caps[tenant] = max(caps[tenant], allowance)
+    return caps
+
+
+def idle_caps(
+    capacity: float,
+    floors: Dict[str, float],
+    tenants: AbstractSet[str],
+    best_effort: Container[str],
+    utilization_ceiling: float,
+    lend_parked_floors: bool,
+) -> Dict[str, float]:
+    """:func:`compute_caps` for a work-conserving, demand-aware link on
+    which no tenant uses anything.
+
+    Every floor is parked and every demand estimate collapses to the ramp
+    allowance, so the water-fill reduces to an equal split of the (lent)
+    spare over *tenants* and the floor holders: each tenant without a
+    floor holds ``max(share, allowance)`` and each floor holder its floor
+    plus the share (at least the allowance if it is also in
+    *best_effort*).
+
+    Args:
+        tenants: Tenants that get a cap, in the order the caps are
+            wanted; floor holders missing from it are appended after it.
+    """
+    budget = capacity * utilization_ceiling
+    reserved = sum(floors.values())
+    spare = max(budget - reserved, 0.0)
+    allowance = capacity * _RAMP_ALLOWANCE_FRACTION
+    if lend_parked_floors:
+        spare += reserved
+    share = spare / (len(tenants) + len(floors.keys() - tenants))
+    # Every tenant without a floor holds the same cap, so the tenants are
+    # filled with it in one step and only the floor holders overwritten.
+    caps = dict.fromkeys(tenants, max(0.0 + share, allowance))
+    for tenant, floor in floors.items():
+        cap = floor + share
+        caps[tenant] = (max(cap, allowance) if tenant in best_effort
+                        else cap)
     return caps
 
 
@@ -310,8 +338,10 @@ class DynamicArbiter:
 
         self.adjustments = 0
         self.skipped_adjustments = 0
-        #: :func:`compute_caps` calls made by adjustment rounds; a link
-        #: whose signature is unchanged reuses its cached allocation.
+        #: Allocations computed by adjustment rounds (:func:`compute_caps`
+        #: calls, or its :func:`idle_caps` closed form on a flowless
+        #: fabric); a link whose signature is unchanged reuses its cached
+        #: allocation.
         self.allocations_computed = 0
         self.last_allocations: List[LinkAllocation] = []
 
@@ -539,6 +569,11 @@ class DynamicArbiter:
         # per-key fast loop, usage can only move when the fabric re-solves.
         fabric_idle = not self.network.active_flows()
         usage_token = "idle" if fabric_idle else self.network.recompute_count
+        # There, with every usage zero, the work-conserving demand-aware
+        # rule is idle_caps's closed form.
+        closed_form = (fabric_idle and self.work_conserving
+                       and self.demand_aware)
+        best_effort = self._best_effort
         tenant_link_rates = self.network.tenant_link_rates
         mode = (self.work_conserving, self.lend_parked_floors,
                 self.demand_aware)
@@ -569,40 +604,52 @@ class DynamicArbiter:
             if fabric_idle:
                 link_usage = "idle"
             else:
-                tenants = set(floors) | self._best_effort
+                tenants = set(floors) | best_effort
                 tenants.discard(SYSTEM_TENANT)
                 # The signature compares this map with ``==``: a tuple of
                 # its values would depend on set iteration order.
                 usages = link_usage = tenant_link_rates(link_id, direction,
                                                         tenants)
+            ceiling = self.ceiling_on(link_id)
             sig = (self._floor_versions.get(key, 0),
-                   self._best_effort_version, capacity,
-                   self.ceiling_on(link_id), link_usage, mode)
+                   self._best_effort_version, capacity, ceiling,
+                   link_usage, mode)
             cached = self._link_cache.get(key)
             if cached is not None and cached[0] == sig:
                 allocation, caps = cached[1], cached[2]
             else:
                 self.allocations_computed += 1
-                if fabric_idle:
-                    # Built only on a miss: an idle link's signature needs
-                    # no tenant set.
-                    tenants = set(floors) | self._best_effort
-                    tenants.discard(SYSTEM_TENANT)
-                    usages = dict.fromkeys(tenants, 0.0)
-                best_effort_here = {
-                    t for t in self._best_effort if t not in floors
-                }
-                caps = compute_caps(
-                    capacity=capacity, floors=dict(floors), usages=usages,
-                    best_effort=best_effort_here,
-                    work_conserving=self.work_conserving,
-                    utilization_ceiling=self.ceiling_on(link_id),
-                    lend_parked_floors=self.lend_parked_floors,
-                    demand_aware=self.demand_aware,
-                )
+                link_floors = dict(floors)
+                if closed_form:
+                    # compute_caps's all-idle rule, without its tenant-set
+                    # union: the caps cover the roster, then the floor
+                    # holders off it (a floor holder is never best-effort
+                    # on its own link).  Only that cap order differs from
+                    # compute_caps's, and on a flowless fabric no rate,
+                    # reading or digest depends on it.
+                    caps = idle_caps(capacity, link_floors, best_effort,
+                                     (), ceiling, self.lend_parked_floors)
+                    usages = dict.fromkeys(caps, 0.0)
+                    usages.pop(SYSTEM_TENANT, None)
+                else:
+                    if fabric_idle:
+                        # Built only on a miss: an idle link's signature
+                        # needs no tenant set.
+                        tenants = set(link_floors) | best_effort
+                        tenants.discard(SYSTEM_TENANT)
+                        usages = dict.fromkeys(tenants, 0.0)
+                    caps = compute_caps(
+                        capacity=capacity, floors=link_floors, usages=usages,
+                        best_effort={t for t in best_effort
+                                     if t not in link_floors},
+                        work_conserving=self.work_conserving,
+                        utilization_ceiling=ceiling,
+                        lend_parked_floors=self.lend_parked_floors,
+                        demand_aware=self.demand_aware,
+                    )
                 allocation = LinkAllocation(
                     link_id=f"{link_id}|{direction}", capacity=capacity,
-                    floors=dict(floors), usages=usages, caps=dict(caps),
+                    floors=link_floors, usages=usages, caps=dict(caps),
                 )
                 self._link_cache[key] = (sig, allocation, caps)
             allocations.append(allocation)

@@ -75,6 +75,10 @@ class HostNetworkManager:
         candidate_paths: int = 4,
         auto_start_arbiter: bool = True,
     ) -> None:
+        # Zero candidate paths would reject every intent without saying why.
+        if not candidate_paths >= 1:
+            raise ValueError(
+                f"candidate_paths must be >= 1, got {candidate_paths}")
         self.network = network
         self.scheduler = scheduler or TopologyAwareScheduler()
         self.ledger = ReservationLedger(network.topology)

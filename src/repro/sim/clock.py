@@ -6,6 +6,8 @@ clock only moves forward, in seconds (float).
 
 from __future__ import annotations
 
+import math
+
 from ..errors import ClockError
 
 
@@ -13,8 +15,9 @@ class SimClock:
     """A monotonically non-decreasing simulated clock."""
 
     def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise ClockError(f"clock cannot start at negative time {start}")
+        if not 0 <= start < math.inf:  # also rejects NaN
+            raise ClockError(
+                f"clock start must be finite and >= 0, got {start}")
         self._now = float(start)
 
     @property

@@ -96,8 +96,10 @@ class FabricNetwork:
         for link_id in topology.link_ids():
             self._push_capacity(link_id,
                                 topology.link(link_id).effective_capacity)
-        # Cached membership of each tenant-cap virtual constraint, so flow
-        # add/remove maintains it in O(caps-of-tenant) instead of O(flows).
+        # Cached membership of each tenant-cap virtual constraint, keyed
+        # (tenant, link, direction), so a flow's start, stop or reroute
+        # updates only the caps on its own hops instead of rescanning
+        # every flow.
         self._cap_members: Dict[Tuple[str, str, Optional[str]], Set[str]] = {}
 
         # Recompute batching/coalescing.
@@ -112,9 +114,13 @@ class FabricNetwork:
         self._link_dir_bytes: Dict[str, float] = {}
         self._tenant_link_bytes: Dict[Tuple[str, str], float] = {}
 
-        # Arbiter-injected state.
+        # Arbiter-injected state.  Installed caps are held as one
+        # {tenant: cap} map per (link, direction), direction None for an
+        # aggregate cap: the arbiter programs a link's caps in one call,
+        # and a flow's caps are found on the maps of its own hops.
         self._tenant_weights: Dict[str, float] = {}
-        self._tenant_link_caps: Dict[Tuple[str, str], float] = {}
+        self._link_caps: Dict[Tuple[str, Optional[str]],
+                              Dict[str, float]] = {}
 
         # Observers.
         self._completion_listeners: List[Callable[[Flow], None]] = []
@@ -313,21 +319,39 @@ class FabricNetwork:
         if direction not in (None, FORWARD, REVERSE):
             raise ValueError(f"direction must be fwd/rev/None, "
                              f"got {direction!r}")
-        installed = self._tenant_link_caps
+        if not caps:
+            return
+        link_key = (link_id, direction)
+        installed = self._link_caps.get(link_key)
+        if installed is None:
+            installed = self._link_caps[link_key] = {}
+        if not self._flows and not self._cap_members:
+            values = caps.values()
+            total = sum(values)
+            # A NaN cap makes the sum NaN, and a negative one the min.
+            if min(values) >= 0 and total == total:
+                # Flowless: no cap binds a flow, and no membership or
+                # solver constraint exists to update, so caps that all
+                # moved install in bulk.  Any equal cap takes the per-cap
+                # loop below, which never rewrites it.
+                if caps.items().isdisjoint(installed.items()):
+                    installed.update(caps)
+                    self._recompute()
+                    return
         changed = False
         try:
             for tenant_id, cap in caps.items():
                 if not cap >= 0:  # also rejects NaN
                     raise ValueError(f"cap must be >= 0, got {cap}")
-                key = (tenant_id, link_id, direction)
-                if installed.get(key) == cap:
+                if installed.get(tenant_id) == cap:
                     # Re-asserting the exact cap would rebuild an identical
                     # constraint and force a full re-solve; this no-op
                     # skip is what lets the fabric (and the arbiter's
                     # quiescence check) settle.
                     continue
-                installed[key] = cap
+                installed[tenant_id] = cap
                 changed = True
+                key = (tenant_id, link_id, direction)
                 if self._flows:
                     self._install_cap_constraint(key)
                 else:
@@ -340,25 +364,36 @@ class FabricNetwork:
         finally:
             if changed:
                 self._recompute()
+            elif not installed:
+                del self._link_caps[link_key]
 
     def clear_tenant_link_cap(self, tenant_id: str, link_id: str,
                               direction: Optional[str] = None) -> None:
         """Remove a previously set per-tenant link cap (no-op if absent)."""
-        key = (tenant_id, link_id, direction)
-        if self._tenant_link_caps.pop(key, None) is not None:
-            self._cap_members.pop(key, None)
-            self._solver.remove_constraint(self._cap_cid(key))
+        installed = self._link_caps.get((link_id, direction))
+        if installed is not None and tenant_id in installed:
+            self._drop_cap(installed, (tenant_id, link_id, direction))
             self._recompute()
 
     def clear_tenant_caps(self, tenant_id: str) -> None:
         """Remove every cap for *tenant_id*."""
-        stale = [k for k in self._tenant_link_caps if k[0] == tenant_id]
-        for key in stale:
-            del self._tenant_link_caps[key]
-            self._cap_members.pop(key, None)
-            self._solver.remove_constraint(self._cap_cid(key))
+        stale = [(installed, (tenant_id, *link_key))
+                 for link_key, installed in self._link_caps.items()
+                 if tenant_id in installed]
+        for installed, key in stale:
+            self._drop_cap(installed, key)
         if stale:
             self._recompute()
+
+    def _drop_cap(self, installed: Dict[str, float],
+                  key: Tuple[str, str, Optional[str]]) -> None:
+        """Take one installed cap off its link map and out of the solver."""
+        tenant_id, link_id, direction = key
+        del installed[tenant_id]
+        if not installed:
+            del self._link_caps[(link_id, direction)]
+        self._cap_members.pop(key, None)
+        self._solver.remove_constraint(self._cap_cid(key))
 
     def set_flow_demand(self, flow_id: str, demand: float) -> None:
         """Change a flow's offered load (bytes/s) and re-solve."""
@@ -380,7 +415,8 @@ class FabricNetwork:
                         direction: Optional[str] = None) -> Optional[float]:
         """The cap currently applied to (*tenant_id*, *link_id*,
         *direction*), if any."""
-        return self._tenant_link_caps.get((tenant_id, link_id, direction))
+        installed = self._link_caps.get((link_id, direction))
+        return None if installed is None else installed.get(tenant_id)
 
     # -- failures ----------------------------------------------------------------
 
@@ -650,10 +686,11 @@ class FabricNetwork:
         member = self._cap_members.get(key) or ()
         cid = self._cap_cid(key)
         if member:
+            tenant_id, link_id, direction = key
             self._solver.set_constraint(
                 Constraint(
                     constraint_id=cid,
-                    capacity=self._tenant_link_caps[key],
+                    capacity=self._link_caps[(link_id, direction)][tenant_id],
                     member_flows=frozenset(member),
                 )
             )
@@ -673,13 +710,21 @@ class FabricNetwork:
         self._push_cap_constraint(key)
 
     def _caps_track_flow(self, flow: Flow, active: bool) -> None:
-        """Maintain cap memberships as *flow* joins/leaves the fabric."""
-        directed = self._directed_links[flow.flow_id]
-        for key in self._tenant_link_caps:
-            if key[0] != flow.tenant_id:
+        """Maintain cap memberships as *flow* joins/leaves the fabric.
+
+        The caps binding *flow* are its tenant's entries in the maps of
+        its own hops: ``(link, direction)`` and the aggregate
+        ``(link, None)`` per hop, each visited once, in hop order.
+        """
+        tenant_id = flow.tenant_id
+        link_caps = self._link_caps
+        for link_key in dict.fromkeys(
+                key for link_id, direction in self._flow_hops[flow.flow_id]
+                for key in ((link_id, direction), (link_id, None))):
+            installed = link_caps.get(link_key)
+            if installed is None or tenant_id not in installed:
                 continue
-            if not self._cap_wanted(key).intersection(directed):
-                continue
+            key = (tenant_id, *link_key)
             members = self._cap_members.setdefault(key, set())
             if active:
                 members.add(flow.flow_id)

@@ -121,12 +121,18 @@ def _float_field(row: Dict[str, str], column: str, task_id: str) -> float:
     if value in ("", None):
         return 0.0
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise WorkloadError(
             f"task {task_id!r}: column {column!r} is not numeric: "
             f"{value!r}"
         ) from None
+    # A NaN start would survive the end <= start filter and turn every
+    # task's rebased arrival into NaN.
+    if not math.isfinite(number):
+        raise WorkloadError(
+            f"task {task_id!r}: column {column!r} is not finite: {value!r}")
+    return number
 
 
 def ingest_rows(rows: List[Dict[str, str]], config: IngestConfig,

@@ -61,19 +61,20 @@ class ClusterTask:
     bidirectional: bool = False
 
     def __post_init__(self) -> None:
-        if self.arrival < 0:
+        # Written so that NaN fails each check.
+        if not 0 <= self.arrival < math.inf:
             raise WorkloadError(
-                f"task {self.task_id!r}: arrival must be >= 0, "
+                f"task {self.task_id!r}: arrival must be finite and >= 0, "
                 f"got {self.arrival}"
             )
-        if self.duration <= 0:
+        if not 0 < self.duration < math.inf:
             raise WorkloadError(
-                f"task {self.task_id!r}: duration must be > 0, "
+                f"task {self.task_id!r}: duration must be finite and > 0, "
                 f"got {self.duration}"
             )
-        if self.bandwidth <= 0:
+        if not 0 < self.bandwidth < math.inf:
             raise WorkloadError(
-                f"task {self.task_id!r}: bandwidth must be > 0, "
+                f"task {self.task_id!r}: bandwidth must be finite and > 0, "
                 f"got {self.bandwidth}"
             )
 

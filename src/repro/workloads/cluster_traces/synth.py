@@ -91,6 +91,30 @@ class SynthTraceConfig:
                 f"burst_amplitude must be in [0, 1), got "
                 f"{self.burst_amplitude}"
             )
+        # Each check below is written so that NaN fails it.
+        if not 1 <= self.mean_job_size < math.inf:
+            # Every job has at least one task.
+            raise WorkloadError(f"mean_job_size must be finite and >= 1, "
+                                f"got {self.mean_job_size}")
+        for name in ("job_stagger", "burst_cycles", "duration_sigma"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise WorkloadError(
+                    f"{name} must be finite and >= 0, got {value}")
+        if not 0 < self.mean_duration < math.inf:
+            raise WorkloadError(f"mean_duration must be finite and > 0, "
+                                f"got {self.mean_duration}")
+        # The demand-mix rules of the fleet's churn config.
+        for name in ("large_fraction", "bidirectional_fraction"):
+            value = getattr(self, name)
+            if not 0 <= value <= 1:
+                raise WorkloadError(f"{name} must be in [0, 1], got {value}")
+        for name in ("small_bandwidth", "large_bandwidth"):
+            lo, hi = getattr(self, name)
+            if not 0 < lo <= hi < math.inf:
+                raise WorkloadError(
+                    f"{name} must be finite with 0 < lo <= hi, "
+                    f"got ({lo}, {hi})")
 
 
 def synthesize_trace(config: SynthTraceConfig) -> ClusterTrace:

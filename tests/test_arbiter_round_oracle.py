@@ -17,10 +17,20 @@ equal ``compute_caps`` on those reads, the model's floors, ceiling and
 roster, and the capacity the topology reports.  Once the round's caps
 have landed, the fabric must hold exactly the allocated cap for every
 tenant.  Runs with the 10 us default decision latency and with 0.
+
+A second, flowless stream starts no transfer, so every round takes the
+arbiter's idle path; there ``compute_caps`` is no independent oracle,
+because it shares its all-idle formula with the round.  So in the
+work-conserving, demand-aware modes each cap is also checked against the
+module docstring's rule worked out here: with nothing used, the spare
+(plus every parked floor, when lending) is split equally, a tenant
+without a floor holds that share or the 2% ramp allowance, whichever is
+larger, and a floor holder its floor plus the share.
 """
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -44,6 +54,13 @@ FLOORS = [Gbps(10), Gbps(25), Gbps(50)]
 CEILINGS = [0.5, 0.8, 1.0]
 MODES = ("work_conserving", "lend_parked_floors", "demand_aware")
 STEPS = 250
+#: The flowless stream's roster pool: past 50 tenants on a link an equal
+#: share of the whole link is under the 2% ramp allowance, so the
+#: allowance binds.  The floor holders and the system tenant are in it.
+ROSTER_POOL = TENANTS + [f"be{i}" for i in range(68)] + [SYSTEM_TENANT]
+#: Up to most of a PCIe link, so floors often exceed capacity x ceiling.
+FLOWLESS_FLOORS = [Gbps(10), Gbps(50), Gbps(200)]
+FLOWLESS_STEPS = 150
 
 
 def _directions(direction):
@@ -52,6 +69,8 @@ def _directions(direction):
 
 class ArbiterStream:
     """One seeded operation stream plus the model its operations imply."""
+
+    floor_values = FLOORS
 
     def __init__(self, seed, decision_latency):
         self.rng = random.Random(seed)
@@ -107,7 +126,7 @@ class ArbiterStream:
         rng = self.rng
         tenant, link = rng.choice(TENANTS), rng.choice(self.links)
         direction = rng.choice([None, "fwd", "rev"])
-        bandwidth = rng.choice(FLOORS)
+        bandwidth = rng.choice(self.floor_values)
         self.arbiter.add_floor(tenant, link, bandwidth, direction=direction)
         self.grants.append((tenant, link, direction, bandwidth))
         for way in _directions(direction):
@@ -228,6 +247,72 @@ class ArbiterStream:
             for tenant, cap in allocation.caps.items():
                 assert network.tenant_link_cap(tenant, *key) == cap, \
                     (key, tenant)
+        return keys, allocations
+
+
+class FlowlessStream(ArbiterStream):
+    """No transfers, a roster past 50 tenants and large floors."""
+
+    floor_values = FLOWLESS_FLOORS
+
+    def __init__(self, seed, decision_latency):
+        super().__init__(seed, decision_latency)
+        self.coverage = Counter()
+
+    def register(self):
+        for tenant in self.rng.sample(ROSTER_POOL, self.rng.randint(1, 6)):
+            self.arbiter.register_best_effort(tenant)
+            self.roster.add(tenant)
+
+    def unregister(self):
+        if self.roster:
+            tenant = self.rng.choice(sorted(self.roster))
+            self.arbiter.unregister_best_effort(tenant)
+            self.roster.discard(tenant)
+
+    OPERATIONS = [(ArbiterStream.add_floor, 5),
+                  (ArbiterStream.remove_floor, 3),
+                  (ArbiterStream.ceiling, 2), (register, 3), (unregister, 1),
+                  (ArbiterStream.degrade, 1), (ArbiterStream.toggle_aware, 1),
+                  (ArbiterStream.flip_mode, 1), (ArbiterStream.advance, 2)]
+
+    def check_round(self):
+        keys, allocations = super().check_round()
+        arbiter = self.arbiter
+        if not (arbiter.work_conserving and arbiter.demand_aware):
+            self.coverage["other modes"] += 1
+            return
+        self.coverage["idle rule"] += 1
+        for key, allocation in zip(keys, allocations):
+            floors = self.floors[key]
+            link = self.network.topology.link(key[0])
+            owners = self.ceilings.get(key[0])
+            ceiling = min(owners.values()) if owners else 1.0
+            tenants = set(floors) | self.roster
+            budget = allocation.capacity * ceiling
+            reserved = sum(floors.values())
+            spare = max(budget - reserved, 0.0)
+            if arbiter.lend_parked_floors:
+                spare += reserved
+            share = spare / len(tenants)
+            allowance = 0.02 * allocation.capacity
+            assert allocation.caps.keys() == tenants, key
+            for tenant, cap in allocation.caps.items():
+                expected = (floors[tenant] + share if tenant in floors
+                            else max(share, allowance))
+                assert cap == pytest.approx(expected, rel=1e-9), \
+                    (key, tenant)
+            self.coverage.update({
+                "allowance binds": share < allowance and bool(
+                    self.roster - set(floors)),
+                "system tenant on roster": SYSTEM_TENANT in self.roster,
+                "floor holder off roster": bool(set(floors) - self.roster),
+                "over-reserved": reserved > budget,
+                "ceiling": ceiling < 1,
+                "degradation-aware on a degraded link": (
+                    arbiter.degradation_aware
+                    and link.effective_capacity != link.capacity),
+            })
 
 
 @pytest.mark.parametrize("decision_latency", [us(10), 0.0],
@@ -239,3 +324,20 @@ def test_round_equals_fresh_recomputation(seed, decision_latency):
         stream.step()
     # The stream exercised the live-fabric path, not only idle rounds.
     assert stream.nonzero_usage_rounds > STEPS // 4
+
+
+@pytest.mark.parametrize("decision_latency", [us(10), 0.0],
+                         ids=["10us", "0us"])
+@pytest.mark.parametrize("seed", range(2))
+def test_flowless_round_follows_the_idle_rule(seed, decision_latency):
+    stream = FlowlessStream(seed, decision_latency)
+    for _ in range(FLOWLESS_STEPS):
+        stream.step()
+    assert stream.nonzero_usage_rounds == 0
+    # Every case the rule distinguishes came up, in the idle-rule modes
+    # and outside them.
+    for case in ("other modes", "idle rule", "allowance binds",
+                 "system tenant on roster", "floor holder off roster",
+                 "over-reserved", "ceiling",
+                 "degradation-aware on a degraded link"):
+        assert stream.coverage[case] > 0, (case, stream.coverage)

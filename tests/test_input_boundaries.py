@@ -4,12 +4,15 @@ Every case below is a value that a constructor or CLI flag used to
 accept (and then hang on, poison a clock with, or crash on with an
 untyped error).  A library case must raise the module's typed error
 from its constructor; a CLI case must exit 2 with a message naming the
-bad value.  CLI cases run in a fresh interpreter under a time limit, so
-a regression that hangs fails the test instead of stalling the suite.
+bad value.  CLI cases call ``repro.cli.main`` in this process under a
+time limit (a timer signal raises in the main thread), so a regression
+that hangs fails the test instead of stalling the suite; one fleet and
+one host case also run ``python -m repro`` in a fresh interpreter.
 """
 
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +21,7 @@ import pytest
 
 import repro
 from repro import Host, cascade_lake_2s, pipe
+from repro.cli import main
 from repro.errors import ClockError, FleetError, SloError, WorkloadError
 from repro.fleet import (
     FleetChaosConfig,
@@ -30,9 +34,11 @@ from repro.sim import Constraint, FlowDemand, IncrementalMaxMinSolver
 from repro.slo import LatencyRegressionConfig, SloConfig, SloObjective
 from repro.units import Gbps, us
 from repro.workloads.cluster_traces import (
+    ClusterTask,
     IngestConfig,
     ReplayConfig,
     SynthTraceConfig,
+    ingest_csv,
 )
 from repro.workloads.cluster_traces.schema import rebase_and_scale
 
@@ -58,6 +64,23 @@ def _solver_set_capacity(value):
 def _planner(rebalance_threshold):
     # The threshold is checked before the planner touches its fleet.
     MigrationPlanner(None, None, rebalance_threshold=rebalance_threshold)
+
+
+def _ingest_row(start, end):
+    # One bad row beside a good one: a NaN start used to pass the
+    # end <= start filter, and rebasing then made every arrival NaN.
+    ingest_csv("task_name,job_name,status,start_time,end_time,"
+               "plan_cpu,plan_mem\n"
+               f"t1,j1,Terminated,{start},{end},100,1\n"
+               "t2,j1,Terminated,86400,86412,100,1\n")
+
+
+def _host(**kwargs):
+    Host(cascade_lake_2s(), **kwargs).shutdown()
+
+
+_TASK = {"task_id": "t", "job_id": "j", "tenant_id": "u", "arrival": 0.0,
+         "duration": 1.0, "bandwidth": Gbps(1)}
 
 
 def _cases():
@@ -183,6 +206,38 @@ def _cases():
                          ("large_bandwidth", (Gbps(120), INF))):
         yield pytest.param(FleetChurnConfig, {field: value}, FleetError,
                            id=f"churn-{field}={value}")
+    # The trace boundary: each value below used to give tasks a NaN or
+    # infinite arrival, duration or bandwidth.
+    for start, end in (("nan", "86412"), ("86400", "nan"),
+                       ("86400", "inf")):
+        yield pytest.param(_ingest_row, {"start": start, "end": end},
+                           WorkloadError,
+                           id=f"ingest-start={start}-end={end}")
+    for field in ("arrival", "duration", "bandwidth"):
+        for value in (NAN, INF):
+            yield pytest.param(ClusterTask, {**_TASK, field: value},
+                               WorkloadError,
+                               id=f"cluster-task-{field}={value}")
+    for field, value in (("small_bandwidth", (NAN, Gbps(40))),
+                         ("large_bandwidth", (Gbps(120), INF)),
+                         ("large_fraction", NAN), ("large_fraction", 2.0),
+                         ("bidirectional_fraction", -1.0),
+                         ("mean_job_size", 0), ("mean_job_size", NAN),
+                         ("mean_job_size", -1.0), ("mean_duration", NAN),
+                         ("duration_sigma", NAN), ("job_stagger", NAN),
+                         ("burst_cycles", -1)):
+        yield pytest.param(SynthTraceConfig, {field: value}, WorkloadError,
+                           id=f"synth-{field}={value}")
+    # The host boundary: a NaN headroom or no candidate path rejected
+    # every intent silently; a NaN or infinite start poisoned the clock.
+    for value in (NAN, INF):
+        yield pytest.param(_host, {"headroom": value}, ValueError,
+                           id=f"host-headroom={value}")
+        yield pytest.param(_host, {"start": value}, ClockError,
+                           id=f"host-start={value}")
+    for value in (0, -1):
+        yield pytest.param(_host, {"candidate_paths": value}, ValueError,
+                           id=f"host-candidate_paths={value}")
 
 
 CLI_CASES = [
@@ -244,31 +299,76 @@ HOST_CLI_CASES = [
 ]
 
 
-def _run_cli(argv, cwd):
-    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
-    return subprocess.run(
-        [sys.executable, "-m", "repro", *argv], cwd=cwd,
-        env=env, capture_output=True, text=True, timeout=CLI_TIMEOUT_S)
+class CliHang(Exception):
+    """A CLI case was still running when its time limit ran out."""
 
 
-def _assert_rejected(run, name):
-    assert run.returncode == 2, run.stderr[-400:]
-    assert name in run.stderr.replace("-", "_")
-    assert "Traceback" not in run.stderr
+def _on_time_limit(signum, frame):
+    raise CliHang(f"CLI case still running after {CLI_TIMEOUT_S} s")
+
+
+@pytest.fixture
+def run_cli(monkeypatch, capsys, tmp_path):
+    """Run ``repro.cli.main(argv)`` in *tmp_path* under the time limit;
+    return its exit code (a return value or ``SystemExit``) and stderr.
+    Any other exception escapes and fails the test."""
+    monkeypatch.chdir(tmp_path)
+
+    def run(argv):
+        previous = signal.signal(signal.SIGALRM, _on_time_limit)
+        signal.setitimer(signal.ITIMER_REAL, CLI_TIMEOUT_S)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        return code, capsys.readouterr().err
+
+    return run
+
+
+def _assert_rejected(code, stderr, name):
+    assert code == 2, stderr[-400:]
+    assert name in stderr.replace("-", "_")
+    assert "Traceback" not in stderr
+
+
+def _fleet_argv(command, flag, value):
+    return ["fleet", command, *CLI_EXTRA_ARGS.get(flag, ()), flag, value]
+
+
+def _bad_name(argv):
+    # The message names the flag, or the device id that is not there.
+    bad = argv[-2] if argv[-2].startswith("--") else argv[-1]
+    return bad.lstrip("-").replace("-", "_")
 
 
 @pytest.mark.parametrize("command, flag, value", CLI_CASES,
                          ids=["-".join(case) for case in CLI_CASES])
-def test_fleet_cli_rejects_bad_value(command, flag, value, tmp_path):
-    run = _run_cli(["fleet", command, *CLI_EXTRA_ARGS.get(flag, ()),
-                    flag, value], tmp_path)
-    _assert_rejected(run, flag.lstrip("-").replace("-", "_"))
+def test_fleet_cli_rejects_bad_value(command, flag, value, run_cli):
+    _assert_rejected(*run_cli(_fleet_argv(command, flag, value)),
+                     flag.lstrip("-").replace("-", "_"))
 
 
 @pytest.mark.parametrize("argv", HOST_CLI_CASES,
                          ids=["-".join(case) for case in HOST_CLI_CASES])
-def test_host_cli_rejects_bad_value(argv, tmp_path):
-    # The message names the flag, or the device id that is not there.
-    bad = argv[-2] if argv[-2].startswith("--") else argv[-1]
-    _assert_rejected(_run_cli(argv, tmp_path),
-                     bad.lstrip("-").replace("-", "_"))
+def test_host_cli_rejects_bad_value(argv, run_cli):
+    _assert_rejected(*run_cli(argv), _bad_name(argv))
+
+
+#: One fleet and one host case (each once a hang) through ``python -m
+#: repro`` in a fresh interpreter.
+MODULE_CLI_CASES = [_fleet_argv("run", "--horizon", "nan"),
+                    ["trace", "churn", "--sim-seconds", "inf"]]
+
+
+@pytest.mark.parametrize("argv", MODULE_CLI_CASES,
+                         ids=["-".join(case) for case in MODULE_CLI_CASES])
+def test_module_cli_rejects_bad_value(argv, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "repro", *argv], cwd=tmp_path,
+        env=env, capture_output=True, text=True, timeout=CLI_TIMEOUT_S)
+    _assert_rejected(run.returncode, run.stderr, _bad_name(argv))

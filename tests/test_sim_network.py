@@ -230,7 +230,12 @@ def _capped_net(with_flows, initial, direction):
 
 
 def _fabric_state(net):
-    return (list(net._tenant_link_caps.items()), net.recompute_count,
+    # Every installed cap as ((tenant, link, direction), cap), flattened
+    # from the per-link maps in their order.
+    caps = [((tenant, *link_key), cap)
+            for link_key, installed in net._link_caps.items()
+            for tenant, cap in installed.items()]
+    return (caps, net.recompute_count,
             [(f.flow_id, f.current_rate) for f in net.active_flows()])
 
 
@@ -275,6 +280,49 @@ class TestLinkCaps:
         assert _fabric_state(per_link) == _fabric_state(reference)
         assert per_link.tenant_link_cap("a", "pcie-nic0", "rev") == Gbps(8)
         assert per_link.tenant_link_cap("c", "pcie-nic0", "rev") == Gbps(2)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_bad_cap_anywhere_on_a_flowless_fabric(self, bad, position):
+        entries = [("a", Gbps(8)), ("c", Gbps(4))]
+        entries.insert(position, ("b", bad))
+        update = dict(entries)
+        reference = _capped_net(False, {"c": Gbps(2)}, "fwd")
+        per_link = _capped_net(False, {"c": Gbps(2)}, "fwd")
+        with pytest.raises(ValueError):
+            with reference.batch():
+                for tenant, cap in update.items():
+                    reference.set_tenant_link_cap(tenant, "pcie-nic0", cap,
+                                                  direction="fwd")
+        with pytest.raises(ValueError):
+            per_link.set_link_caps("pcie-nic0", update, direction="fwd")
+        assert _fabric_state(per_link) == _fabric_state(reference)
+        assert per_link.tenant_link_cap("b", "pcie-nic0", "fwd") is None
+
+    def test_caps_set_after_every_flow_left(self):
+        # Flows that leave drop out of their caps' memberships, which stay
+        # behind empty: the fabric has no flow, but its caps are not the
+        # never-used kind that install in bulk.
+        def drained():
+            net = _capped_net(True, {"a": Gbps(2), "b": Gbps(8)}, None)
+            for flow in net.active_flows():
+                net.cancel_flow(flow.flow_id)
+            return net
+
+        update = {"a": Gbps(16), "b": Gbps(4), "c": Gbps(4)}
+        reference, per_link = drained(), drained()
+        with reference.batch():
+            for tenant, cap in update.items():
+                reference.set_tenant_link_cap(tenant, "pcie-nic0", cap)
+        per_link.set_link_caps("pcie-nic0", update)
+        assert _fabric_state(per_link) == _fabric_state(reference)
+        # Flows arriving afterwards run under their tenants' new caps.
+        for net in (reference, per_link):
+            path = path_of(net, "nic0", "dimm0-0")
+            a = net.start_transfer("a", path)
+            b = net.start_transfer("b", path)
+            assert (a.current_rate, b.current_rate) == (Gbps(16), Gbps(4))
+        assert _fabric_state(per_link) == _fabric_state(reference)
 
 
 class TestAccounting:

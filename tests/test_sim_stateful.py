@@ -1,12 +1,15 @@
 """Stateful property testing of the fabric under random operation sequences.
 
-Hypothesis drives random interleavings of flow starts/cancels, cap
-changes, failures, and time advances against a live FabricNetwork, and
-checks the global invariants after every step:
+Hypothesis drives random interleavings of flow starts/cancels/reroutes,
+cap changes (one tenant, several tenants on one link, clears), failures,
+and time advances against a live FabricNetwork, and checks the global
+invariants after every step:
 
 * no directed link carries more than its effective capacity;
 * no flow exceeds its effective demand;
-* per-tenant caps are respected;
+* per-tenant caps are respected, and the installed caps equal a dict
+  model of the cap operations (a per-link cap call re-solves exactly
+  when it changed the model);
 * byte accounting is conserved (per-link totals equal the sum of per-
   tenant attributions, and directions sum to the total);
 * the clock never moves backwards.
@@ -25,13 +28,20 @@ from hypothesis.stateful import (
 )
 
 from repro.sim import Engine, FabricNetwork
-from repro.topology import minimal_host, shortest_path
+from repro.topology import cascade_lake_2s, k_shortest_paths, shortest_path
 from repro.units import Gbps
 
 TENANTS = ["t0", "t1", "t2"]
+#: The cross-socket pairs have two paths (one per UPI link), so their
+#: flows can be rerouted.
 ENDPOINT_PAIRS = [("nic0", "dimm0-0"), ("dimm0-0", "nic0"),
-                  ("nvme0", "dimm0-0"), ("nic0", "nvme0")]
-CAPPABLE_LINKS = ["pcie-nic0", "pcie-nvme0", "membus0-0"]
+                  ("nvme0", "dimm0-0"), ("nic0", "nvme0"),
+                  ("nic0", "dimm1-0"), ("dimm1-0", "nic0")]
+CAPPABLE_LINKS = ["pcie-nic0", "pcie-nvme0", "membus0-0",
+                  "upi-socket0-socket1-0", "upi-socket0-socket1-1"]
+DIRECTIONS = [None, "fwd", "rev"]
+#: Few values, so a per-link call often re-asserts an installed cap.
+CAP_VALUES = [0.0, Gbps(5), Gbps(20), Gbps(80), math.inf]
 
 _TOL = 1 + 1e-6
 
@@ -39,9 +49,11 @@ _TOL = 1 + 1e-6
 class FabricMachine(RuleBasedStateMachine):
     @initialize()
     def setup(self):
-        self.network = FabricNetwork(minimal_host(), Engine())
+        self.network = FabricNetwork(cascade_lake_2s(), Engine())
         self.flow_ids = []
         self.last_now = 0.0
+        # The model: (tenant, link, direction) -> installed cap.
+        self.caps = {}
 
     # -- operations --------------------------------------------------------
 
@@ -64,17 +76,64 @@ class FabricMachine(RuleBasedStateMachine):
         if active:
             self.network.cancel_flow(active[0])
 
+    @rule(index=st.integers(min_value=0), choice=st.integers(min_value=0))
+    def reroute_some_flow(self, index, choice):
+        active = self.network.active_flows()
+        if not active:
+            return
+        flow = active[index % len(active)]
+        others = [path for path in k_shortest_paths(
+                      self.network.topology, flow.path.src, flow.path.dst)
+                  if path.links != flow.path.links]
+        if others:
+            self.network.reroute_flow(flow.flow_id,
+                                      others[choice % len(others)])
+
     @rule(tenant=st.sampled_from(TENANTS),
           link=st.sampled_from(CAPPABLE_LINKS),
           cap_gbps=st.floats(min_value=0.1, max_value=300),
-          direction=st.sampled_from([None, "fwd", "rev"]))
+          direction=st.sampled_from(DIRECTIONS))
     def set_cap(self, tenant, link, cap_gbps, direction):
         self.network.set_tenant_link_cap(tenant, link, Gbps(cap_gbps),
                                          direction=direction)
+        self.caps[(tenant, link, direction)] = Gbps(cap_gbps)
+
+    @rule(link=st.sampled_from(CAPPABLE_LINKS),
+          direction=st.sampled_from(DIRECTIONS),
+          caps=st.dictionaries(st.sampled_from(TENANTS),
+                               st.sampled_from(CAP_VALUES), min_size=1))
+    def set_link_caps(self, link, direction, caps):
+        changed = any(self.caps.get((tenant, link, direction)) != cap
+                      for tenant, cap in caps.items())
+        before = self.network.recompute_count
+        self.network.set_link_caps(link, caps, direction=direction)
+        for tenant, cap in caps.items():
+            self.caps[(tenant, link, direction)] = cap
+        assert self.network.recompute_count == before + changed
+
+    @rule(link=st.sampled_from(CAPPABLE_LINKS),
+          direction=st.sampled_from(DIRECTIONS))
+    def reassert_link_caps(self, link, direction):
+        # Re-sending a link's installed caps changes nothing, so it must
+        # not re-solve.
+        caps = {key[0]: cap for key, cap in self.caps.items()
+                if key[1:] == (link, direction)}
+        before = self.network.recompute_count
+        self.network.set_link_caps(link, caps, direction=direction)
+        assert self.network.recompute_count == before
+
+    @rule(tenant=st.sampled_from(TENANTS),
+          link=st.sampled_from(CAPPABLE_LINKS),
+          direction=st.sampled_from(DIRECTIONS))
+    def clear_link_cap(self, tenant, link, direction):
+        self.network.clear_tenant_link_cap(tenant, link, direction=direction)
+        self.caps.pop((tenant, link, direction), None)
 
     @rule(tenant=st.sampled_from(TENANTS))
     def clear_caps(self, tenant):
         self.network.clear_tenant_caps(tenant)
+        self.caps = {key: cap for key, cap in self.caps.items()
+                     if key[0] != tenant}
 
     @rule(link=st.sampled_from(CAPPABLE_LINKS),
           factor=st.one_of(st.none(),
@@ -113,10 +172,19 @@ class FabricMachine(RuleBasedStateMachine):
             assert flow.current_rate <= flow.effective_demand * _TOL + 1e-6
 
     @invariant()
+    def caps_match_model(self):
+        for tenant in TENANTS:
+            for link in CAPPABLE_LINKS:
+                for direction in DIRECTIONS:
+                    assert (self.network.tenant_link_cap(tenant, link,
+                                                         direction)
+                            == self.caps.get((tenant, link, direction)))
+
+    @invariant()
     def caps_respected(self):
         for tenant in TENANTS:
             for link in CAPPABLE_LINKS:
-                for direction in (None, "fwd", "rev"):
+                for direction in DIRECTIONS:
                     cap = self.network.tenant_link_cap(tenant, link,
                                                        direction)
                     if cap is None:
