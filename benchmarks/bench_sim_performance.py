@@ -287,40 +287,55 @@ def _run_event_chain(engine, n_events):
     assert state["count"] == n_events
 
 
-def _min_chain_time(engine_factory, n_events, rounds):
-    best = float("inf")
-    for _ in range(rounds):
-        gc.collect()
-        start = time.perf_counter()
-        _run_event_chain(engine_factory(), n_events)
-        best = min(best, time.perf_counter() - start)
-    return best
+def _sliced_overhead(n_events, slices):
+    """One trial: CPU-time overhead of ``Engine`` over the baseline.
+
+    Both engines run the same event chain in *slices* alternating slices
+    (which side goes first alternates too), so CPU-frequency and
+    allocator drift hit both sides equally, and each side's
+    ``time.process_time`` is summed over its slices, so time the process
+    spends descheduled counts for neither.
+    """
+    totals = {_UninstrumentedEngine: 0.0, Engine: 0.0}
+    order = [_UninstrumentedEngine, Engine]
+    gc.collect()
+    for _ in range(slices):
+        for factory in order:
+            engine = factory()
+            start = time.process_time()
+            _run_event_chain(engine, n_events)
+            totals[factory] += time.process_time() - start
+        order.reverse()
+    return totals[Engine] / totals[_UninstrumentedEngine] - 1.0
 
 
 def test_tracing_disabled_overhead():
     """CI-enforced contract: tracing-disabled overhead <= 2%.
 
-    Interleaved min-of-rounds timing (min is the stable statistic for a
-    CPU-bound loop; interleaving decorrelates frequency/GC drift).  The
-    instrumented engine with the tracer disabled must stay within 2% of
-    the uninstrumented baseline on pure event dispatch — the hottest
-    instrumented path in the simulator.
+    The instrumented engine with the tracer disabled must stay within 2%
+    of the uninstrumented baseline on pure event dispatch — the hottest
+    instrumented path in the simulator.  Measured as
+    ``bench_slo_overhead.py`` measures its contract: each trial times the
+    two engines in interleaved slices of CPU time
+    (:func:`_sliced_overhead`), and the bound applies to the lowest of
+    three trials (noise only ever inflates a trial).
     """
     from repro.trace import TRACER
 
     assert not TRACER.enabled, "tracer must be disabled for this benchmark"
-    n_events, rounds = 40_000, 9
-    # Warm both paths (bytecode caches, allocator) outside the timing.
-    _run_event_chain(_UninstrumentedEngine(), 1000)
-    _run_event_chain(Engine(), 1000)
-    baseline = _min_chain_time(_UninstrumentedEngine, n_events, rounds)
-    instrumented = _min_chain_time(Engine, n_events, rounds)
-    overhead = instrumented / baseline - 1.0
-    assert overhead <= 0.02, (
-        f"tracing-disabled dispatch is {overhead * 100:.2f}% slower than "
-        f"the no-tracer baseline ({instrumented * 1e3:.2f}ms vs "
-        f"{baseline * 1e3:.2f}ms for {n_events} events); the disabled "
-        f"fast path must stay within 2%"
+    # Short slices interleave finely: on a shared 2-core VM, trials of 24
+    # slices of 5,000 events spread from -8% to +9%, trials of 600
+    # slices of 200 events within about 1.5 points.
+    n_events, slices = 200, 600
+    _sliced_overhead(n_events, 20)  # warm both paths outside the trials
+    overheads = [_sliced_overhead(n_events, slices) for _ in range(3)]
+    best = min(overheads)
+    assert best <= 0.02, (
+        f"tracing-disabled dispatch is {best * 100:.2f}% slower than the "
+        f"no-tracer baseline (trials: "
+        f"{[f'{o * 100:.2f}%' for o in overheads]}, {slices} slices of "
+        f"{n_events} events per side); the disabled fast path must stay "
+        f"within 2%"
     )
 
 

@@ -316,8 +316,8 @@ class DynamicArbiter:
         # Per-directed-link incremental state.  A link's allocation is a
         # pure function of a small input signature (its floor version, the
         # best-effort roster version, capacity, ceiling, the link's own
-        # {tenant: rate} map — or "idle" on a flowless fabric — and the
-        # mode flags); churn moves one link's floors at a time, and a
+        # rate version — or "idle" on a flowless fabric — and the mode
+        # flags); churn moves one link's floors at a time, and a
         # re-solve moves only the usage of links its flows cross, so most
         # links present an unchanged signature each round and reuse their
         # cached allocation — and caps are re-programmed into the fabric
@@ -511,9 +511,8 @@ class DynamicArbiter:
         if lift_caps:
             with self.network.batch():
                 for (link_id, direction), tenants in self._capped.items():
-                    for tenant_id in tenants:
-                        self.network.clear_tenant_link_cap(
-                            tenant_id, link_id, direction=direction)
+                    self.network.clear_link_caps(link_id, tenants,
+                                                 direction=direction)
             self._capped.clear()
             self._emitted_sig.clear()
             self._emitted_caps.clear()
@@ -565,8 +564,9 @@ class DynamicArbiter:
         pending: List[Tuple[str, str, Dict[str, float]]] = []
         # On a fabric with no live flows every usage reading is zero, so
         # "idle" stands in for every link's usage; otherwise each link's
-        # signature carries that link's own {tenant: rate} map.  For the
-        # per-key fast loop, usage can only move when the fabric re-solves.
+        # signature carries that link's own rate version, which moves
+        # whenever its {tenant: rate} map may have.  For the per-key fast
+        # loop, usage can only move when the fabric re-solves.
         fabric_idle = not self.network.active_flows()
         usage_token = "idle" if fabric_idle else self.network.recompute_count
         # There, with every usage zero, the work-conserving demand-aware
@@ -574,7 +574,7 @@ class DynamicArbiter:
         closed_form = (fabric_idle and self.work_conserving
                        and self.demand_aware)
         best_effort = self._best_effort
-        tenant_link_rates = self.network.tenant_link_rates
+        rate_version = self.network.rate_version
         mode = (self.work_conserving, self.lend_parked_floors,
                 self.demand_aware)
         # With unchanged global inputs, only explicitly-dirtied keys can
@@ -601,15 +601,8 @@ class DynamicArbiter:
             # actually carry right now.
             capacity = (link.effective_capacity if self.degradation_aware
                         else link.capacity)
-            if fabric_idle:
-                link_usage = "idle"
-            else:
-                tenants = set(floors) | best_effort
-                tenants.discard(SYSTEM_TENANT)
-                # The signature compares this map with ``==``: a tuple of
-                # its values would depend on set iteration order.
-                usages = link_usage = tenant_link_rates(link_id, direction,
-                                                        tenants)
+            link_usage = ("idle" if fabric_idle
+                          else rate_version(link_id, direction))
             ceiling = self.ceiling_on(link_id)
             sig = (self._floor_versions.get(key, 0),
                    self._best_effort_version, capacity, ceiling,
@@ -632,12 +625,13 @@ class DynamicArbiter:
                     usages = dict.fromkeys(caps, 0.0)
                     usages.pop(SYSTEM_TENANT, None)
                 else:
-                    if fabric_idle:
-                        # Built only on a miss: an idle link's signature
-                        # needs no tenant set.
-                        tenants = set(link_floors) | best_effort
-                        tenants.discard(SYSTEM_TENANT)
-                        usages = dict.fromkeys(tenants, 0.0)
+                    # Built only on a miss: the signature needs no tenant
+                    # set, and no usage read.
+                    tenants = set(link_floors) | best_effort
+                    tenants.discard(SYSTEM_TENANT)
+                    usages = (dict.fromkeys(tenants, 0.0) if fabric_idle
+                              else self.network.tenant_link_rates(
+                                  link_id, direction, tenants))
                     caps = compute_caps(
                         capacity=capacity, floors=link_floors, usages=usages,
                         best_effort={t for t in best_effort
@@ -748,8 +742,8 @@ class DynamicArbiter:
         with self.network.batch():
             for key in stale:
                 link_id, direction = key
-                self.network.clear_tenant_link_cap(tenant_id, link_id,
-                                                   direction=direction)
+                self.network.clear_link_caps(link_id, (tenant_id,),
+                                             direction=direction)
                 tenants = self._capped[key]
                 tenants.discard(tenant_id)
                 if not tenants:
@@ -768,8 +762,7 @@ class DynamicArbiter:
                 tenants = self._capped.pop(key, None)
                 if tenants is None:
                     continue
-                for tenant_id in tenants:
-                    self.network.clear_tenant_link_cap(tenant_id, link_id,
-                                                       direction=direction)
+                self.network.clear_link_caps(link_id, tenants,
+                                             direction=direction)
                 self._emitted_sig.pop(key, None)
                 self._emitted_caps.pop(key, None)

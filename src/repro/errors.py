@@ -142,6 +142,11 @@ class SloError(HostNetError):
     """Base class for latency-SLO subsystem misconfiguration."""
 
 
+class ResilienceError(HostNetError):
+    """Base class for recovery-controller and chaos-harness
+    misconfiguration."""
+
+
 # --------------------------------------------------------------------------
 # Fleet (multi-host cluster) errors.
 # --------------------------------------------------------------------------

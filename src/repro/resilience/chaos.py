@@ -24,12 +24,13 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..core.intents import pipe
+from ..errors import ResilienceError
 from ..host import Host
 from ..monitor.failures import FailureInjector, FailureKind
 from ..topology.graph import HostTopology
 from ..topology.presets import cascade_lake_2s
 from ..topology.routing import k_shortest_paths
-from .controller import RecoveryConfig
+from .controller import RecoveryConfig, check_count, check_duration
 from .invariants import (
     InvariantViolation,
     check_invariants,
@@ -72,6 +73,25 @@ class ChaosConfig:
     bandwidth_fraction: float = 0.2
     flap_period: float = 0.004
     recovery: RecoveryConfig = field(default_factory=RecoveryConfig)
+
+    def __post_init__(self) -> None:
+        for name in ("warmup", "fault_spacing", "flap_period"):
+            check_duration(name, getattr(self, name))
+        for name in ("faults", "settle_rounds", "workload_intents"):
+            check_count(name, getattr(self, name))
+        try:
+            low, high = self.repair_delay
+        except (TypeError, ValueError):
+            raise ResilienceError(f"repair_delay must be a (min, max) pair, "
+                                  f"got {self.repair_delay!r}") from None
+        check_duration("repair_delay min", low)
+        check_duration("repair_delay max", high)
+        if low > high:
+            raise ResilienceError(f"repair_delay min must be <= max, "
+                                  f"got {self.repair_delay!r}")
+        if not 0 < self.bandwidth_fraction <= 1:
+            raise ResilienceError(f"bandwidth_fraction must be in (0, 1], "
+                                  f"got {self.bandwidth_fraction}")
 
 
 @dataclass(frozen=True)

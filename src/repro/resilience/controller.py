@@ -26,13 +26,26 @@ overcommitting silently-degraded links the moment recovery is armed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..core.manager import HostNetworkManager, Placement
-from ..errors import HostNetError
+from ..errors import HostNetError, ResilienceError
 from ..trace.recorder import TRACER
 from ..trace.spans import CAT_RECOVERY
+
+
+def check_duration(name: str, value: float) -> None:
+    """Reject a period, window or hold-down that is not finite and > 0."""
+    if not 0 < value < math.inf:
+        raise ResilienceError(f"{name} must be finite and > 0, got {value}")
+
+
+def check_count(name: str, value: int) -> None:
+    """Reject a count below 1."""
+    if not value >= 1:
+        raise ResilienceError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -73,6 +86,16 @@ class RecoveryConfig:
     retry: bool = True
     retry_max_parked: int = 64
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("tick_period", "flap_window", "quarantine_holddown",
+                     "monitor_check_period"):
+            check_duration(name, getattr(self, name))
+        for name in ("flap_threshold", "retry_max_parked"):
+            check_count(name, getattr(self, name))
+        if not 0 < self.degrade_floor <= 1:
+            raise ResilienceError(f"degrade_floor must be in (0, 1], "
+                                  f"got {self.degrade_floor}")
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,7 @@ class Engine:
     def schedule_at(self, t: float, callback: Callable[[], None],
                     label: str = "") -> Event:
         """Schedule *callback* at absolute time *t* (>= now)."""
-        if t < self.now:
+        if not t >= self.now:  # also rejects NaN
             raise ClockError(
                 f"cannot schedule at {t} (now is {self.now})"
             )
@@ -70,8 +70,8 @@ class Engine:
     def schedule_in(self, delay: float, callback: Callable[[], None],
                     label: str = "") -> Event:
         """Schedule *callback* after *delay* seconds (>= 0)."""
-        if delay < 0:
-            raise ClockError(f"cannot schedule with negative delay {delay}")
+        if not delay >= 0:  # also rejects NaN
+            raise ClockError(f"delay must be >= 0, got {delay}")
         return self.schedule_at(self.now + delay, callback, label=label)
 
     def schedule_now(self, callback: Callable[[], None],
@@ -99,9 +99,9 @@ class Engine:
         *rng*, a ``random.Random``-like object).  Returns a
         :class:`PeriodicTask` handle with a ``cancel()`` method.
         """
-        if period <= 0:
+        if not period > 0:  # also rejects NaN
             raise SimulationError(f"period must be > 0, got {period}")
-        if jitter < 0 or (jitter > 0 and rng is None):
+        if not jitter >= 0 or (jitter > 0 and rng is None):
             raise SimulationError("jitter requires a non-negative value and an rng")
         task = PeriodicTask(self, period, callback, label, jitter, rng)
         delay = period if first_delay is None else first_delay
@@ -254,7 +254,7 @@ class PeriodicTask:
 
     def reschedule(self, period: float) -> None:
         """Change the repeat period, effective from the next firing."""
-        if period <= 0:
+        if not period > 0:  # also rejects NaN
             raise SimulationError(f"period must be > 0, got {period}")
         self._period = period
 

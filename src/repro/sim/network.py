@@ -83,6 +83,11 @@ class FabricNetwork:
         # Rate sums the readers look up, built on the first read after
         # the rates, the flow set or a path changed (see _rate_sums).
         self._rate_index: Optional[Dict[tuple, float]] = None
+        # A counter per (link, direction), bumped whenever a flow on it
+        # starts, stops, reroutes or gets a new rate: while a link's
+        # counter stands still, every rate read on it returns what it
+        # returned before (see rate_version).
+        self._rate_versions: Dict[Tuple[str, str], int] = {}
         self._flow_seq = itertools.count()
         self._last_sync = engine.now
         self._completion_event: Optional[Event] = None
@@ -99,7 +104,12 @@ class FabricNetwork:
         # Cached membership of each tenant-cap virtual constraint, keyed
         # (tenant, link, direction), so a flow's start, stop or reroute
         # updates only the caps on its own hops instead of rescanning
-        # every flow.
+        # every flow.  For every installed cap the entry holds exactly the
+        # tenant's active flows on the cap's directed links, and a cap
+        # that binds no flow has no entry and no solver constraint:
+        # _install_cap_constraint, _caps_track_flow and _drop_cap keep it
+        # so, which is what lets a changed cap keep its membership
+        # (set_link_caps) and a dropped one skip the solver (_drop_cap).
         self._cap_members: Dict[Tuple[str, str, Optional[str]], Set[str]] = {}
 
         # Recompute batching/coalescing.
@@ -151,6 +161,7 @@ class FabricNetwork:
         flow.created_at = flow.created_at or self.engine.now
         flow.started_at = self.engine.now
         self._place_flow(flow)
+        self._bump_rate_versions(flow.flow_id)
         self._flows[flow.flow_id] = flow
         self._solver_set_flow(flow)
         self._caps_track_flow(flow, active=True)
@@ -274,8 +285,10 @@ class FabricNetwork:
             )
         self._sync()
         self._caps_track_flow(flow, active=False)
+        self._bump_rate_versions(flow_id)
         flow.path = path
         self._place_flow(flow)
+        self._bump_rate_versions(flow_id)
         self._solver_set_flow(flow)
         self._caps_track_flow(flow, active=True)
         self._recompute()
@@ -325,15 +338,15 @@ class FabricNetwork:
         installed = self._link_caps.get(link_key)
         if installed is None:
             installed = self._link_caps[link_key] = {}
-        if not self._flows and not self._cap_members:
+        if not self._flows:
             values = caps.values()
             total = sum(values)
             # A NaN cap makes the sum NaN, and a negative one the min.
             if min(values) >= 0 and total == total:
-                # Flowless: no cap binds a flow, and no membership or
-                # solver constraint exists to update, so caps that all
-                # moved install in bulk.  Any equal cap takes the per-cap
-                # loop below, which never rewrites it.
+                # Flowless: no cap binds a flow, so no membership or
+                # solver constraint exists to update (see _cap_members),
+                # and caps that all moved install in bulk.  Any equal cap
+                # takes the per-cap loop below, which never rewrites it.
                 if caps.items().isdisjoint(installed.items()):
                     installed.update(caps)
                     self._recompute()
@@ -343,7 +356,8 @@ class FabricNetwork:
             for tenant_id, cap in caps.items():
                 if not cap >= 0:  # also rejects NaN
                     raise ValueError(f"cap must be >= 0, got {cap}")
-                if installed.get(tenant_id) == cap:
+                previous = installed.get(tenant_id)
+                if previous == cap:
                     # Re-asserting the exact cap would rebuild an identical
                     # constraint and force a full re-solve; this no-op
                     # skip is what lets the fabric (and the arbiter's
@@ -351,16 +365,18 @@ class FabricNetwork:
                     continue
                 installed[tenant_id] = cap
                 changed = True
-                key = (tenant_id, link_id, direction)
+                # Without flows the cap binds nothing: it gets a
+                # membership and a solver constraint when a flow arrives
+                # (_caps_track_flow).
                 if self._flows:
-                    self._install_cap_constraint(key)
-                else:
-                    # No flows: the cap binds nothing, so its membership
-                    # is empty and the solver constraint is already absent
-                    # (flows leaving the fabric drop themselves from every
-                    # membership).  It is (re)installed by
-                    # _caps_track_flow when a flow arrives.
-                    self._cap_members.pop(key, None)
+                    key = (tenant_id, link_id, direction)
+                    if previous is None:
+                        self._install_cap_constraint(key)
+                    else:
+                        # An installed cap's membership is kept current
+                        # (see _cap_members), so a new value only needs
+                        # pushing.
+                        self._push_cap_constraint(key)
         finally:
             if changed:
                 self._recompute()
@@ -370,9 +386,26 @@ class FabricNetwork:
     def clear_tenant_link_cap(self, tenant_id: str, link_id: str,
                               direction: Optional[str] = None) -> None:
         """Remove a previously set per-tenant link cap (no-op if absent)."""
+        self.clear_link_caps(link_id, (tenant_id,), direction=direction)
+
+    def clear_link_caps(self, link_id: str, tenants: Iterable[str],
+                        direction: Optional[str] = None) -> None:
+        """Remove several tenants' caps on one link at once.
+
+        Equivalent to one :meth:`clear_tenant_link_cap` per tenant, in
+        *tenants* order, inside :meth:`batch`: absent caps are skipped,
+        other tenants' caps on the link stay, and at most one re-solve is
+        requested.
+        """
         installed = self._link_caps.get((link_id, direction))
-        if installed is not None and tenant_id in installed:
-            self._drop_cap(installed, (tenant_id, link_id, direction))
+        if installed is None:
+            return
+        removed = False
+        for tenant_id in tenants:
+            if tenant_id in installed:
+                self._drop_cap(installed, (tenant_id, link_id, direction))
+                removed = True
+        if removed:
             self._recompute()
 
     def clear_tenant_caps(self, tenant_id: str) -> None:
@@ -392,8 +425,10 @@ class FabricNetwork:
         del installed[tenant_id]
         if not installed:
             del self._link_caps[(link_id, direction)]
-        self._cap_members.pop(key, None)
-        self._solver.remove_constraint(self._cap_cid(key))
+        # Only a cap that binds a flow has a solver constraint (see
+        # _cap_members).
+        if self._cap_members.pop(key, None) is not None:
+            self._solver.remove_constraint(self._cap_cid(key))
 
     def set_flow_demand(self, flow_id: str, demand: float) -> None:
         """Change a flow's offered load (bytes/s) and re-solve."""
@@ -532,6 +567,26 @@ class FabricNetwork:
         return {tenant: sums.get((tenant, link_id, direction), 0.0)
                 for tenant in tenants}
 
+    def rate_version(self, link_id: str, direction: Optional[str]) -> int:
+        """A counter that moves whenever the rates on one link may have.
+
+        It grows when a flow crossing *link_id* in *direction* (either
+        way for ``None``) starts, stops, reroutes onto or off the link, or
+        is given a different rate by a re-solve.  While it stands still,
+        :meth:`tenant_link_rates` (and every other rate read on that
+        link and direction) returns what it returned before, so a cache
+        keyed on it never misses a change; it may move when the rates did
+        not.
+        """
+        if link_id not in self._link_bytes:
+            raise UnknownLinkError(link_id)
+        self.flush_recompute()
+        versions = self._rate_versions
+        if direction is None:
+            return (versions.get((link_id, FORWARD), 0)
+                    + versions.get((link_id, REVERSE), 0))
+        return versions.get((link_id, direction), 0)
+
     def link_bytes(self, link_id: str,
                    direction: Optional[str] = None) -> float:
         """Cumulative bytes carried by *link_id* up to now (ground truth).
@@ -643,9 +698,16 @@ class FabricNetwork:
             directed_id(link_id, direction) for link_id, direction in hops)
         self._rate_index = None
 
+    def _bump_rate_versions(self, flow_id: str) -> None:
+        """Move the rate version of every hop of one flow's path."""
+        versions = self._rate_versions
+        for hop in self._flow_hops[flow_id]:
+            versions[hop] = versions.get(hop, 0) + 1
+
     def _drop_flow(self, flow: Flow) -> None:
         """Take a stopped flow off the fabric (cancel and completion)."""
         self._caps_track_flow(flow, active=False)
+        self._bump_rate_versions(flow.flow_id)
         del self._flows[flow.flow_id]
         del self._flow_hops[flow.flow_id]
         del self._directed_links[flow.flow_id]
@@ -699,14 +761,18 @@ class FabricNetwork:
 
     def _install_cap_constraint(self, key: Tuple[str, str, Optional[str]]
                                 ) -> None:
-        """(Re)build a cap's membership from scratch (cap set/changed)."""
+        """Build a newly installed cap's membership from every flow."""
         tenant_id = key[0]
         wanted = self._cap_wanted(key)
-        self._cap_members[key] = {
+        members = {
             f.flow_id for f in self._flows.values()
             if f.tenant_id == tenant_id
             and wanted.intersection(self._directed_links[f.flow_id])
         }
+        if members:
+            self._cap_members[key] = members
+        else:
+            self._cap_members.pop(key, None)
         self._push_cap_constraint(key)
 
     def _caps_track_flow(self, flow: Flow, active: bool) -> None:
@@ -725,11 +791,14 @@ class FabricNetwork:
             if installed is None or tenant_id not in installed:
                 continue
             key = (tenant_id, *link_key)
-            members = self._cap_members.setdefault(key, set())
             if active:
-                members.add(flow.flow_id)
+                self._cap_members.setdefault(key, set()).add(flow.flow_id)
             else:
-                members.discard(flow.flow_id)
+                members = self._cap_members.get(key)
+                if members is not None:
+                    members.discard(flow.flow_id)
+                    if not members:
+                        del self._cap_members[key]
             self._push_cap_constraint(key)
 
     def _push_capacity(self, link_id: str, cap: float) -> None:
@@ -770,8 +839,12 @@ class FabricNetwork:
             return
         self._refresh_solver_inputs()
         rates = self._solver.solve()
-        for f in self._flows.values():
-            f.current_rate = rates.get(f.flow_id, 0.0)
+        for flow_id, f in self._flows.items():
+            rate = rates.get(flow_id, 0.0)
+            if rate != f.current_rate:
+                self._bump_rate_versions(flow_id)
+            # Assigned even when equal, so a 0.0 never stays -0.0.
+            f.current_rate = rate
         self._rate_index = None
 
     @property

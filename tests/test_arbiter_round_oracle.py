@@ -5,7 +5,8 @@ quiescence fingerprint and an emission cache, all so that most rounds can
 reuse earlier allocations.  Seeded random streams drive a
 ``cascade_lake_2s`` fabric and an arbiter through transfers starting and
 stopping, demand changes (and swaps, which move usage between tenants at
-an unchanged total), floors added and removed in one direction or both,
+an unchanged total), cross-socket transfers rerouted between the two UPI
+links, floors added and removed in one direction or both,
 ceilings set and cleared, best-effort registrations, link degradation and
 repair, ``degradation_aware`` and mode flips, and clock steps.
 
@@ -37,14 +38,15 @@ import pytest
 from repro.core import DynamicArbiter, compute_caps
 from repro.sim import Engine, FabricNetwork
 from repro.sim.network import SYSTEM_TENANT
-from repro.topology import cascade_lake_2s, shortest_path
+from repro.topology import cascade_lake_2s, k_shortest_paths, shortest_path
 from repro.units import Gbps, us
 
 TENANTS = ["t0", "t1", "t2", "t3"]
 #: Flow owners: the floor holders, a tenant that only ever runs best
 #: effort, and the system tenant (which the arbiter never caps).
 FLOW_TENANTS = TENANTS + ["be0", SYSTEM_TENANT]
-#: Both directions over shared PCIe, mesh and UPI links.
+#: Both directions over shared PCIe, mesh and UPI links.  The
+#: cross-socket routes have a second path over the other UPI link.
 ROUTES = [("nic0", "dimm0-0"), ("dimm0-0", "nic0"), ("nvme0", "dimm0-1"),
           ("nic0", "dimm1-0"), ("gpu0", "dimm1-1"), ("dimm1-1", "gpu0")]
 #: Whole-Gbps values are exact in binary, so floor arithmetic is exact and
@@ -80,8 +82,11 @@ class ArbiterStream:
         topology = self.network.topology
         self.paths = [shortest_path(topology, src, dst)
                       for src, dst in ROUTES]
-        self.links = sorted({link for path in self.paths
-                             for link in path.links})
+        self.alternates = {(src, dst): k_shortest_paths(topology, src, dst,
+                                                        k=2)
+                           for src, dst in ROUTES}
+        self.links = sorted({link for paths in self.alternates.values()
+                             for path in paths for link in path.links})
         # The model.  Per-key floor dicts gain and lose tenants in the
         # order the operations add and remove them.
         self.floors = {}    # (link, direction) -> {tenant: floor}
@@ -89,6 +94,7 @@ class ArbiterStream:
         self.ceilings = {}  # link -> {owner: ceiling}
         self.roster = set()
         self.nonzero_usage_rounds = 0
+        self.reroutes = 0
 
     # -- operations --------------------------------------------------------
 
@@ -112,6 +118,16 @@ class ArbiterStream:
         if flow is not None:
             self.network.set_flow_demand(flow.flow_id,
                                          self.rng.choice(DEMANDS))
+
+    def reroute(self):
+        movable = [f for f in self.network.active_flows()
+                   if len(self.alternates[(f.path.src, f.path.dst)]) > 1]
+        if movable:
+            flow = self.rng.choice(movable)
+            routes = self.alternates[(flow.path.src, flow.path.dst)]
+            other = next(p for p in routes if p.links != flow.path.links)
+            self.network.reroute_flow(flow.flow_id, other)
+            self.reroutes += 1
 
     def swap(self):
         flows = self.network.active_flows()
@@ -191,7 +207,7 @@ class ArbiterStream:
                                                        1e-3]))
 
     OPERATIONS = [(start, 6), (cancel, 2), (demand, 3), (swap, 3),
-                  (add_floor, 5), (remove_floor, 3), (ceiling, 2),
+                  (reroute, 2), (add_floor, 5), (remove_floor, 3), (ceiling, 2),
                   (best_effort, 1), (degrade, 1), (toggle_aware, 1),
                   (flip_mode, 1), (advance, 3)]
 
@@ -324,6 +340,7 @@ def test_round_equals_fresh_recomputation(seed, decision_latency):
         stream.step()
     # The stream exercised the live-fabric path, not only idle rounds.
     assert stream.nonzero_usage_rounds > STEPS // 4
+    assert stream.reroutes > 0
 
 
 @pytest.mark.parametrize("decision_latency", [us(10), 0.0],

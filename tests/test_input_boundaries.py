@@ -22,7 +22,14 @@ import pytest
 import repro
 from repro import Host, cascade_lake_2s, pipe
 from repro.cli import main
-from repro.errors import ClockError, FleetError, SloError, WorkloadError
+from repro.errors import (
+    ClockError,
+    FleetError,
+    ResilienceError,
+    SimulationError,
+    SloError,
+    WorkloadError,
+)
 from repro.fleet import (
     FleetChaosConfig,
     FleetChurnConfig,
@@ -30,7 +37,8 @@ from repro.fleet import (
     FleetRecoveryConfig,
     MigrationPlanner,
 )
-from repro.sim import Constraint, FlowDemand, IncrementalMaxMinSolver
+from repro.resilience import ChaosConfig, RecoveryConfig
+from repro.sim import Constraint, Engine, FlowDemand, IncrementalMaxMinSolver
 from repro.slo import LatencyRegressionConfig, SloConfig, SloObjective
 from repro.units import Gbps, us
 from repro.workloads.cluster_traces import (
@@ -77,6 +85,22 @@ def _ingest_row(start, end):
 
 def _host(**kwargs):
     Host(cascade_lake_2s(), **kwargs).shutdown()
+
+
+def _schedule(method, value):
+    # A NaN time used to be queued and fire with ``engine.now`` = nan.
+    engine = Engine()
+    engine.run_until(1.0)
+    getattr(engine, method)(value, lambda: None)
+
+
+def _schedule_every(**kwargs):
+    Engine().schedule_every(kwargs.pop("period", 1e-3), lambda: None,
+                            **kwargs)
+
+
+def _reschedule(period):
+    Engine().schedule_every(1e-3, lambda: None).reschedule(period)
 
 
 _TASK = {"task_id": "t", "job_id": "j", "tenant_id": "u", "arrival": 0.0,
@@ -238,6 +262,49 @@ def _cases():
     for value in (0, -1):
         yield pytest.param(_host, {"candidate_paths": value}, ValueError,
                            id=f"host-candidate_paths={value}")
+    # The engine: NaN compared false against every bound, so it was
+    # queued as a time, delay or period.
+    for method in ("schedule_at", "schedule_in"):
+        yield pytest.param(_schedule, {"method": method, "value": NAN},
+                           ClockError, id=f"engine-{method}=nan")
+    yield pytest.param(_schedule_every, {"period": NAN}, SimulationError,
+                       id="engine-schedule_every-period=nan")
+    yield pytest.param(_schedule_every, {"jitter": NAN}, SimulationError,
+                       id="engine-schedule_every-jitter=nan")
+    yield pytest.param(_reschedule, {"period": NAN}, SimulationError,
+                       id="engine-reschedule=nan")
+    # The resilience configs had no checks at all.
+    for field in ("tick_period", "flap_window", "quarantine_holddown",
+                  "monitor_check_period"):
+        for value in (NAN, INF, 0.0, -1.0):
+            yield pytest.param(RecoveryConfig, {field: value},
+                               ResilienceError,
+                               id=f"recovery-config-{field}={value}")
+    for field in ("flap_threshold", "retry_max_parked"):
+        yield pytest.param(RecoveryConfig, {field: 0}, ResilienceError,
+                           id=f"recovery-config-{field}=0")
+    for value in (NAN, 0.0, -0.5, 1.5):
+        yield pytest.param(RecoveryConfig, {"degrade_floor": value},
+                           ResilienceError,
+                           id=f"recovery-config-degrade_floor={value}")
+    for field in ("warmup", "fault_spacing", "flap_period"):
+        for value in (NAN, INF, 0.0, -1.0):
+            yield pytest.param(ChaosConfig, {field: value}, ResilienceError,
+                               id=f"chaos-config-{field}={value}")
+    for field in ("faults", "settle_rounds", "workload_intents"):
+        yield pytest.param(ChaosConfig, {field: 0}, ResilienceError,
+                           id=f"chaos-config-{field}=0")
+    for value, name in (((NAN, 0.04), "nan,0.04"), ((0.015, INF), "0.015,inf"),
+                        ((0.0, 0.04), "0,0.04"),
+                        ((0.04, 0.015), "0.04,0.015"), ((0.02,), "(0.02,)"),
+                        (0.02, "0.02")):
+        yield pytest.param(ChaosConfig, {"repair_delay": value},
+                           ResilienceError,
+                           id=f"chaos-config-repair_delay={name}")
+    for value in (NAN, 0.0, 1.5):
+        yield pytest.param(ChaosConfig, {"bandwidth_fraction": value},
+                           ResilienceError,
+                           id=f"chaos-config-bandwidth_fraction={value}")
 
 
 CLI_CASES = [

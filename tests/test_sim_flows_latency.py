@@ -1,6 +1,7 @@
 """Flow lifecycle objects and the analytic latency model."""
 
 import math
+import random
 
 import pytest
 
@@ -9,6 +10,35 @@ from repro.sim import LatencyModel
 from repro.sim.flows import Flow, FlowState
 from repro.topology import cascade_lake_2s, shortest_path
 from repro.units import kib, ns
+
+
+#: Same-socket and cross-socket routes, both directions.
+ROUND_TRIP_PAIRS = [("nic0", "dimm0-0"), ("dimm0-0", "nic0"),
+                    ("nic0", "dimm1-0"), ("gpu0", "dimm1-1"),
+                    ("dimm1-1", "gpu0")]
+
+
+def _formula(model, topology, path, rho, size):
+    """One-way latency as the module docstring states it: every hop's base
+    latency inflated by ``alpha * rho / (1 - rho)`` (rho clamped to
+    [0, rho_cap]), plus *size* over the path's bottleneck residual, each
+    hop's residual being its free capacity but at least
+    ``min_residual_fraction`` of it; ``inf`` across a down hop."""
+    total = 0.0
+    residual = math.inf
+    for link_id in path.links:
+        link = topology.link(link_id)
+        capacity = link.effective_capacity
+        if capacity <= 0:
+            return math.inf
+        clamped = min(max(rho[link_id], 0.0), model.rho_cap)
+        total += link.effective_latency * (
+            1.0 + model.alpha * clamped / (1.0 - clamped))
+        residual = min(residual, max(capacity * (1.0 - rho[link_id]),
+                                     capacity * model.min_residual_fraction))
+    if size > 0 and path.links:
+        total += size / residual
+    return total
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +143,32 @@ class TestLatencyModel:
         one = model.path_latency(topo, path, lambda _: 0.0)
         rt = model.round_trip(topo, path, lambda _: 0.0)
         assert rt == pytest.approx(2 * one)
+        # Distinct request and response sizes, utilizations below 0 and
+        # past rho_cap, a down hop in every fourth case and the empty
+        # path in two: the round trip must equal the module docstring's
+        # one-way formula for each leg, summed, bit for bit.
+        for seed in range(16):
+            rng = random.Random(seed)
+            pair = (("nic0", "nic0") if seed in (5, 11)
+                    else rng.choice(ROUND_TRIP_PAIRS))
+            route = shortest_path(topo, *pair)
+            topology = topo.copy()
+            if seed % 4 == 0:
+                topology.link(rng.choice(route.links)).up = False
+            rho = {link_id: rng.choice([-0.5, 0.0, rng.random(), 0.98,
+                                        0.995, 1.0, 1.7])
+                   for link_id in route.links}
+            model = LatencyModel(
+                alpha=rng.choice([0.5, 1.0, 3.0]),
+                min_residual_fraction=rng.choice([0.02, 0.1]))
+            request = kib(rng.randint(1, 8))
+            response = kib(rng.randint(9, 64))
+            expected = (_formula(model, topology, route, rho, request)
+                        + _formula(model, topology, route, rho, response))
+            got = model.round_trip(topology, route, rho.__getitem__,
+                                   request, response)
+            assert got == expected, seed
+            assert math.isinf(got) == (seed % 4 == 0), seed
 
     def test_extra_latency_included(self, topo, path):
         broken = topo.copy()

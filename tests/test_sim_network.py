@@ -229,6 +229,29 @@ def _capped_net(with_flows, initial, direction):
     return net
 
 
+def cap_constraints_by_scan(net):
+    """Every solver constraint the installed caps should give, worked out
+    from the flows' paths: ``{cid: (cap, {flow ids})}`` for each cap that
+    binds at least one flow."""
+    expected = {}
+    for flow in net.active_flows():
+        for i, link_id in enumerate(flow.path.links):
+            link = net.topology.link(link_id)
+            way = "fwd" if flow.path.devices[i] == link.src else "rev"
+            for direction in (way, None):
+                key = (flow.tenant_id, link_id, direction)
+                cap = net.tenant_link_cap(*key)
+                if cap is not None:
+                    expected.setdefault(net._cap_cid(key),
+                                        (cap, set()))[1].add(flow.flow_id)
+    return expected
+
+
+def solver_cap_constraints(net):
+    return {cid: (c.capacity, set(c.member_flows))
+            for cid, c in net._solver._virtual.items()}
+
+
 def _fabric_state(net):
     # Every installed cap as ((tenant, link, direction), cap), flattened
     # from the per-link maps in their order.
@@ -260,6 +283,10 @@ class TestLinkCaps:
                                               direction=direction)
         per_link.set_link_caps("pcie-nic0", update, direction=direction)
         assert _fabric_state(per_link) == _fabric_state(reference)
+        # A changed cap keeps its tracked membership; its constraint must
+        # still hold the new value over exactly the flows it binds.
+        assert solver_cap_constraints(per_link) == \
+            cap_constraints_by_scan(per_link)
         # Re-asserting the same caps changes nothing and does not re-solve.
         before = _fabric_state(per_link)
         per_link.set_link_caps("pcie-nic0", update, direction=direction)
@@ -300,13 +327,15 @@ class TestLinkCaps:
         assert per_link.tenant_link_cap("b", "pcie-nic0", "fwd") is None
 
     def test_caps_set_after_every_flow_left(self):
-        # Flows that leave drop out of their caps' memberships, which stay
-        # behind empty: the fabric has no flow, but its caps are not the
-        # never-used kind that install in bulk.
+        # Flows that leave drop out of their caps' memberships, and a
+        # membership left empty is deleted: once every flow has left, the
+        # fabric holds no membership, so its next caps install in bulk.
         def drained():
             net = _capped_net(True, {"a": Gbps(2), "b": Gbps(8)}, None)
+            assert net._cap_members
             for flow in net.active_flows():
                 net.cancel_flow(flow.flow_id)
+            assert net._cap_members == {}
             return net
 
         update = {"a": Gbps(16), "b": Gbps(4), "c": Gbps(4)}
@@ -323,6 +352,67 @@ class TestLinkCaps:
             b = net.start_transfer("b", path)
             assert (a.current_rate, b.current_rate) == (Gbps(16), Gbps(4))
         assert _fabric_state(per_link) == _fabric_state(reference)
+
+
+    def test_memberships_track_flows_without_empty_entries(self):
+        # Each installed cap's membership is its tenant's live flows on
+        # the link, whether the cap came before the flows or after, and a
+        # cap that binds no flow has no entry and no solver constraint.
+        net = _capped_net(True, {"a": Gbps(2)}, "fwd")
+        net.set_link_caps("pcie-nic0", {"b": Gbps(8), "z": Gbps(4)},
+                          direction="fwd")
+        net.set_tenant_link_cap("a", "pcie-nic0", Gbps(3), direction="fwd")
+
+        def check():
+            expected = cap_constraints_by_scan(net)
+            assert solver_cap_constraints(net) == expected
+            assert {net._cap_cid(key): members
+                    for key, members in net._cap_members.items()} == {
+                cid: members for cid, (_cap, members) in expected.items()}
+
+        check()
+        assert ("z", "pcie-nic0", "fwd") not in net._cap_members
+        for flow in net.active_flows("a"):
+            net.cancel_flow(flow.flow_id)
+        check()
+        assert ("a", "pcie-nic0", "fwd") not in net._cap_members
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        with_flows=st.booleans(),
+        initial=st.dictionaries(_CAP_TENANTS, _CAP_VALUES),
+        cleared=st.lists(st.sampled_from(["a", "b", "c", "d", "e"]),
+                         max_size=5),
+        direction=st.sampled_from([None, "fwd", "rev"]),
+    )
+    def test_clear_matches_per_tenant_calls_in_a_batch(
+            self, with_flows, initial, cleared, direction):
+        def build():
+            net = _capped_net(with_flows, initial, direction)
+            # A second caller's cap on the same link and direction, and
+            # the same tenants capped the other way: none is listed, so
+            # all must survive.
+            other = "rev" if direction == "fwd" else "fwd"
+            with net.batch():
+                net.set_tenant_link_cap("other", "pcie-nic0", Gbps(3),
+                                        direction=direction)
+                for tenant in ("a", "b"):
+                    net.set_tenant_link_cap(tenant, "pcie-nic0", Gbps(5),
+                                            direction=other)
+            return net
+
+        reference, per_link = build(), build()
+        with reference.batch():
+            for tenant in cleared:
+                reference.clear_tenant_link_cap(tenant, "pcie-nic0",
+                                                direction=direction)
+        per_link.clear_link_caps("pcie-nic0", cleared, direction=direction)
+        assert _fabric_state(per_link) == _fabric_state(reference)
+        assert per_link.tenant_link_cap("other", "pcie-nic0",
+                                        direction) == Gbps(3)
+        for tenant in initial:
+            assert (per_link.tenant_link_cap(tenant, "pcie-nic0", direction)
+                    is None) == (tenant in cleared)
 
 
 class TestAccounting:

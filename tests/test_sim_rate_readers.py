@@ -10,6 +10,12 @@ After every step every reader, for every link, direction and tenant, must
 equal (``==``, not approximately) a reference that scans the active flows
 in order and sums ``current_rate * hops`` — so a sum kept past a change
 of rates, flows or paths fails here.
+
+``rate_version`` is checked against the same scan: after every step,
+each link and direction whose scanned ``{tenant: rate}`` map differs
+from the one scanned after the previous step must show a different
+version, so a change that does not move its link's version fails here
+without trusting the fabric's own bookkeeping.
 """
 
 import math
@@ -95,6 +101,9 @@ class RateReaderMachine(RuleBasedStateMachine):
         topology = self.network.topology
         self.routes = {pair: k_shortest_paths(topology, *pair, k=2)
                        for pair in ENDPOINT_PAIRS}
+        # (link, direction) -> (scanned {tenant: rate}, rate_version) as of
+        # the previous check.
+        self.seen = {}
 
     # -- operations ----------------------------------------------------------
 
@@ -180,6 +189,14 @@ class RateReaderMachine(RuleBasedStateMachine):
                                                      direction)
                     for tenant in asked}, (link_id, direction)
                 assert rates[IDLE_TENANT] == 0.0
+                scanned = {tenant: scanned_rate(flows, link_id, direction,
+                                                tenant)
+                           for tenant in TENANTS}
+                version = network.rate_version(link_id, direction)
+                before = self.seen.get((link_id, direction))
+                if before is not None and before[0] != scanned:
+                    assert version != before[1], (link_id, direction)
+                self.seen[(link_id, direction)] = (scanned, version)
             utilization = network.link_utilization(link_id)
             assert utilization == scanned_utilization(network, flows, link_id)
             assert bulk[link_id] == utilization
@@ -202,6 +219,23 @@ def test_bulk_tenant_reader_rejects_unknown_link():
     network = FabricNetwork(cascade_lake_2s(), Engine())
     with pytest.raises(UnknownLinkError):
         network.tenant_link_rates("no-such-link", "fwd", TENANTS)
+    with pytest.raises(UnknownLinkError):
+        network.rate_version("no-such-link", "fwd")
+
+
+def test_rate_version_flushes_a_coalesced_solve():
+    # The version reader must see the rates a pending re-solve will give,
+    # as the rate readers do.
+    network = FabricNetwork(cascade_lake_2s(), Engine(),
+                            coalesce_recompute=True)
+    path = k_shortest_paths(network.topology, "nic0", "dimm0-0", k=1)[0]
+    flow = network.start_transfer("t0", path, demand=Gbps(10))
+    link_id, way = hop_ways(network, flow)[0]
+    before = network.rate_version(link_id, way)
+    network.set_flow_demand(flow.flow_id, Gbps(20))
+    assert network.rate_version(link_id, way) != before
+    assert network.tenant_link_rates(link_id, way,
+                                     ["t0"]) == {"t0": Gbps(20)}
 
 
 def test_bulk_tenant_reader_reads_zero_without_flows():

@@ -1,15 +1,19 @@
 """Stateful property testing of the fabric under random operation sequences.
 
 Hypothesis drives random interleavings of flow starts/cancels/reroutes,
-cap changes (one tenant, several tenants on one link, clears), failures,
-and time advances against a live FabricNetwork, and checks the global
-invariants after every step:
+cap changes (one tenant, several tenants on one link, clears of one or
+several), failures, and time advances against a live FabricNetwork, and
+checks the global invariants after every step:
 
 * no directed link carries more than its effective capacity;
 * no flow exceeds its effective demand;
 * per-tenant caps are respected, and the installed caps equal a dict
-  model of the cap operations (a per-link cap call re-solves exactly
-  when it changed the model);
+  model of the cap operations (a per-link cap or clear call re-solves
+  exactly when it changed the model);
+* each installed cap's solver constraint holds its value and exactly its
+  tenant's active flows on the capped link and direction, found by a
+  scan of the flows' paths, and a cap that binds no flow has none (the
+  fabric updates memberships incrementally and relies on this);
 * byte accounting is conserved (per-link totals equal the sum of per-
   tenant attributions, and directions sum to the total);
 * the clock never moves backwards.
@@ -30,6 +34,8 @@ from hypothesis.stateful import (
 from repro.sim import Engine, FabricNetwork
 from repro.topology import cascade_lake_2s, k_shortest_paths, shortest_path
 from repro.units import Gbps
+
+from .test_sim_network import cap_constraints_by_scan, solver_cap_constraints
 
 TENANTS = ["t0", "t1", "t2"]
 #: The cross-socket pairs have two paths (one per UPI link), so their
@@ -129,6 +135,19 @@ class FabricMachine(RuleBasedStateMachine):
         self.network.clear_tenant_link_cap(tenant, link, direction=direction)
         self.caps.pop((tenant, link, direction), None)
 
+    @rule(link=st.sampled_from(CAPPABLE_LINKS),
+          direction=st.sampled_from(DIRECTIONS),
+          tenants=st.lists(st.sampled_from(TENANTS), max_size=4))
+    def clear_link_caps(self, link, direction, tenants):
+        removed = any((tenant, link, direction) in self.caps
+                      for tenant in tenants)
+        before = self.network.recompute_count
+        self.network.clear_link_caps(link, tenants, direction=direction)
+        for tenant in tenants:
+            self.caps.pop((tenant, link, direction), None)
+        # One re-solve exactly when a listed cap was installed.
+        assert self.network.recompute_count == before + removed
+
     @rule(tenant=st.sampled_from(TENANTS))
     def clear_caps(self, tenant):
         self.network.clear_tenant_caps(tenant)
@@ -194,6 +213,11 @@ class FabricMachine(RuleBasedStateMachine):
                     assert rate <= cap * _TOL + 1e-6, (
                         f"{tenant}@{link}/{direction}: {rate} > cap {cap}"
                     )
+
+    @invariant()
+    def cap_constraints_match_flows(self):
+        assert (solver_cap_constraints(self.network)
+                == cap_constraints_by_scan(self.network))
 
     @invariant()
     def accounting_consistent(self):
