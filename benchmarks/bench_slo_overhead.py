@@ -12,9 +12,10 @@ This file holds the line in CI:
   design matters more than the number here: whole-run wall-clock A/B on
   a busy CI box swings ±3-4%, far above the contract, so the harness
   (a) drives two *long-lived* fleets through the same pre-generated
-  event stream in small interleaved time slices, so CPU-frequency and
-  allocator epochs hit both sides equally (fleet construction and
-  teardown allocation storms stay outside the timed region),
+  event stream in small interleaved time slices, alternating which
+  fleet goes first, so CPU-frequency and allocator epochs and slice
+  position hit both sides equally (fleet construction and teardown
+  allocation storms stay outside the timed region),
   (b) accumulates ``time.process_time`` (background steals don't
   count), and (c) takes the minimum overhead over three independent
   trials (noise only ever inflates a trial).
@@ -54,6 +55,10 @@ CHURN = FleetChurnConfig(seed=0, horizon=0.12, arrival_rate=4000.0,
 GATE_SLO = SloConfig.default(bound=us(5000), probe_period=0.02,
                              sample_stride=8)
 OVERHEAD_LIMIT = 0.02
+#: Slices per trial: one event each for CHURN's ~750 events.  On a shared
+#: 2-core VM, alternating trials agreed within about a point here; at
+#: 400 slices they spread up to 2.2 points, at 40 over several.
+SLICES = 1000
 SCENARIO = LatencyRegressionConfig(seed=0, hosts=4, horizon=0.08,
                                    arrival_rate=1500.0)
 
@@ -75,25 +80,32 @@ def _churn_with_slo(slo):
         fleet.shutdown()
 
 
-def _sliced_overhead(slices=40):
-    """One trial: interleaved-slice CPU-time overhead of GATE_SLO."""
-    base, enabled = _build(None), _build(GATE_SLO)
+def _sliced_overhead(slices=SLICES):
+    """One trial: interleaved-slice CPU-time overhead of GATE_SLO.
+
+    Both fleets take the same event stream in *slices* slices, and which
+    fleet goes first alternates from slice to slice (as in
+    ``bench_sim_performance._sliced_overhead``): a fleet always driven
+    first reads about 3 points cheaper than the same work driven second.
+    """
+    fleets = (_build(None), _build(GATE_SLO))
+    base, enabled = fleets
     try:
         events = generate_events(CHURN, base)
         size = (len(events) + slices - 1) // slices
-        chunks = [events[i * size:(i + 1) * size] for i in range(slices)]
+        chunks = [events[i:i + size] for i in range(0, len(events), size)]
         gc.collect()
-        t_base = t_enabled = 0.0
+        totals = [0.0, 0.0]
+        order = [0, 1]
         for chunk in chunks:
-            t0 = time.process_time()
-            _drive_chunk(base, chunk)
-            t_base += time.process_time() - t0
-            t0 = time.process_time()
-            _drive_chunk(enabled, chunk)
-            t_enabled += time.process_time() - t0
+            for side in order:
+                t0 = time.process_time()
+                _drive_chunk(fleets[side], chunk)
+                totals[side] += time.process_time() - t0
+            order.reverse()
         assert enabled.slo.histogram().total > 0  # probes actually ran
         assert not enabled.slo.alerts  # pure observability cost
-        return t_enabled / t_base - 1.0
+        return totals[1] / totals[0] - 1.0
     finally:
         base.shutdown()
         enabled.shutdown()

@@ -8,8 +8,8 @@ Usage::
 Benchmarks are matched by test name.  A benchmark regresses when its
 current mean exceeds the baseline mean by more than the tolerance
 (default 20%, chosen to ride out shared-runner noise while still
-catching the order-of-magnitude slips this suite guards against — a
-solver path silently falling back to scalar, an accidental O(n^2)
+catching the order-of-magnitude slips this suite guards against — an
+incremental solve silently re-solving from scratch, an accidental O(n^2)
 re-partition).  Benchmarks present only in the current run are reported
 as informational (new benchmarks need a refreshed baseline, not a red
 build); benchmarks that disappeared fail the comparison, since a

@@ -24,9 +24,9 @@ to refresh.
 
 For vectorized placement ranking the same summaries are exposed as one
 resident :class:`HeadroomMatrix` — per-host columns of the
-placement-relevant scalars in deterministic host-id order, mirroring how
-``repro.sim.arrays`` vectorized water-filling.  A refresh rewrites its
-host's row in place, so the matrix never needs a rebuild between attaches.
+placement-relevant scalars in deterministic host-id order.  A refresh
+rewrites its host's row in place, so the matrix never needs a rebuild
+between attaches.
 Inter-host wire links are excluded from the rollup itself (only their
 health is counted), so the scalar and matrix views agree by construction.
 

@@ -212,18 +212,6 @@ class Host:
         return self.network.solver_stats
 
     @property
-    def solver_paths(self) -> "dict[str, int]":
-        """How many water-filling passes each core has run.
-
-        Returns ``{"scalar": n, "array": m}`` from the resident solver's
-        counters — the quick way to confirm which code path a workload
-        actually exercised (tiny components stay scalar below the
-        crossover; large ones vectorize).
-        """
-        stats = self.network.solver_stats
-        return {"scalar": stats.scalar_fills, "array": stats.array_fills}
-
-    @property
     def recompute_count(self) -> int:
         """How many times the fabric re-solved rates this session."""
         return self.network.recompute_count

@@ -1,7 +1,6 @@
 """Discrete-event simulation core: engine, flows, fair sharing, latency."""
 
-from .arrays import DEFAULT_ARRAY_CROSSOVER, progressive_fill_array
-from .bandwidth import Constraint, FlowDemand, link_utilizations, max_min_fair_rates
+from .bandwidth import Constraint, FlowDemand, max_min_fair_rates
 from .clock import SimClock
 from .engine import Engine, PeriodicTask
 from .events import Event
@@ -21,9 +20,6 @@ __all__ = [
     "FlowDemand",
     "Constraint",
     "max_min_fair_rates",
-    "link_utilizations",
-    "progressive_fill_array",
-    "DEFAULT_ARRAY_CROSSOVER",
     "IncrementalMaxMinSolver",
     "SolverStats",
     "LatencyModel",

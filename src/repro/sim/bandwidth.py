@@ -87,9 +87,9 @@ def build_problem(
     Returns ``(members, caps)``: constraint id -> flow indices (with
     multiplicity — a flow crossing a link twice consumes double capacity on
     it), and constraint id -> capacity.  Only constraints actually crossed
-    by some flow appear.  Shared by the stateless entry point and every
-    solve path of :class:`~repro.sim.solver.IncrementalMaxMinSolver`, so
-    all of them agree on validation and ordering.
+    by some flow appear.  Shared by the stateless entry point and the full
+    solve of :class:`~repro.sim.solver.IncrementalMaxMinSolver`, so both
+    agree on validation and ordering.
     """
     flow_index = {f.flow_id: i for i, f in enumerate(flows)}
     if len(flow_index) != len(flows):
@@ -114,8 +114,9 @@ def build_problem(
             raise ValueError(
                 f"virtual constraint {cid!r} must declare member_flows"
             )
-        bound = [flow_index[fid] for fid in constraint.member_flows
-                 if fid in flow_index]
+        # Flow-index order, not frozenset order (see _solve_component).
+        bound = sorted(flow_index[fid] for fid in constraint.member_flows
+                       if fid in flow_index)
         if bound:
             members[cid] = bound
             caps[cid] = float(constraint.capacity)
@@ -129,14 +130,14 @@ def progressive_fill(
 ) -> List[float]:
     """The water-filling core: rates (by flow index) for a built problem.
 
-    This is the scalar *reference* implementation (and the production path
-    for small components — see :mod:`repro.sim.arrays` for the vectorized
-    core and the size crossover).  Both per-constraint usage *and*
-    per-constraint active weight are carried as running totals — usage
-    grows with the rates and is debited on demand clamps; active weight is
-    debited as member flows freeze — so each round costs one pass over the
-    still-active constraints and flows instead of re-summing the whole
-    incidence.
+    The one water-filling implementation: the stateless entry point and
+    every solve of :class:`~repro.sim.solver.IncrementalMaxMinSolver` run
+    it (DESIGN §10 records why there is no second, vectorized core).  Both
+    per-constraint usage *and* per-constraint active weight are carried as
+    running totals — usage grows with the rates and is debited on demand
+    clamps; active weight is debited as member flows freeze — so each
+    round costs one pass over the still-active constraints and flows
+    instead of re-summing the whole incidence.
     """
     n = len(flows)
     rates = [0.0] * n
@@ -235,10 +236,11 @@ def max_min_fair_rates(
 ) -> Dict[str, float]:
     """Compute weighted max-min fair rates (stateless entry point).
 
-    A thin wrapper over :class:`~repro.sim.solver.IncrementalMaxMinSolver`'s
-    from-scratch path; callers with churning flow sets should hold a solver
-    instance instead and use its mutation API, which re-solves only the
-    connected component a change touches.
+    One :func:`build_problem` and one :func:`progressive_fill` over every
+    flow; callers with churning flow sets should hold a
+    :class:`~repro.sim.solver.IncrementalMaxMinSolver` instead and use its
+    mutation API, which re-solves only the connected component a change
+    touches.
 
     Args:
         flows: The active flows.
@@ -254,38 +256,8 @@ def max_min_fair_rates(
         Mapping flow id -> allocated rate (bytes/s).  Flows with zero demand
         get rate 0.  A flow crossing a zero-capacity (failed) link gets 0.
     """
-    from .solver import IncrementalMaxMinSolver
-
-    return IncrementalMaxMinSolver.solve_once(flows, capacities,
-                                              extra_constraints)
-
-
-def link_utilizations(
-    flows: Sequence[FlowDemand],
-    rates: Mapping[str, float],
-    capacities: Mapping[str, float],
-    clamp: bool = True,
-) -> Dict[str, float]:
-    """Per-link utilization implied by *rates*.
-
-    With ``clamp`` (the default) values are capped at 1.0, matching what a
-    dashboard shows.  Diagnostics pass ``clamp=False`` to observe
-    oversubscription: rates supplied by callers (measured counters, stale
-    caps) may legitimately exceed capacity, and the overshoot magnitude is
-    signal.  Links with zero capacity report utilization 1.0 when any flow
-    is mapped onto them (they are fully degraded), else 0.0.
-    """
-    load: Dict[str, float] = {link_id: 0.0 for link_id in capacities}
-    for f in flows:
-        rate = rates.get(f.flow_id, 0.0)
-        for link_id in f.links:
-            if link_id in load:
-                load[link_id] += rate
-    result: Dict[str, float] = {}
-    for link_id, cap in capacities.items():
-        if cap <= 0:
-            result[link_id] = 1.0 if load[link_id] > 0 else 0.0
-        else:
-            utilization = load[link_id] / cap
-            result[link_id] = min(utilization, 1.0) if clamp else utilization
-    return result
+    if not flows:
+        return {}
+    members, caps = build_problem(flows, capacities, extra_constraints)
+    rates = progressive_fill(flows, members, caps)
+    return {f.flow_id: rates[i] for i, f in enumerate(flows)}

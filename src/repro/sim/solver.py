@@ -17,26 +17,18 @@ Key properties:
   touched.  ``solve()`` re-solves exactly the components containing
   something recorded since the last solve; a clean solver returns its
   cached rates without any work.
-* **Two water-filling cores, one build.**  Every solve builds one
-  ``(members, caps)`` problem and runs progressive filling on it; *which*
-  core depends on the problem's flow count.  Problems at or above
-  :data:`~repro.sim.arrays.DEFAULT_ARRAY_CROSSOVER` flows run the
-  numpy-vectorized :mod:`repro.sim.arrays` core; smaller ones run the
-  scalar reference core, whose per-solve constant costs are lower.  The
-  cores agree within floating-point accumulation order (1e-6, enforced by
-  the seeded property suite in ``tests/test_sim_arrays.py``), and
-  :attr:`SolverStats.scalar_fills` / :attr:`SolverStats.array_fills`
-  report which core each fill took.
+* **One water-filling core.**  Every fill builds one ``(members, caps)``
+  problem and runs :func:`~repro.sim.bandwidth.progressive_fill` on it;
+  :attr:`SolverStats.scalar_fills` counts the fills.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
 from ..trace.recorder import TRACER
-from .arrays import DEFAULT_ARRAY_CROSSOVER, progressive_fill_array
 from .bandwidth import (
     Constraint,
     FlowDemand,
@@ -57,8 +49,9 @@ class SolverStats:
         component_solves: Individual component sub-solves executed.
         flows_resolved: Flow rates recomputed across all solves.
         flows_reused: Flow rates served from the component cache.
-        scalar_fills: Water-filling runs taken by the scalar core.
-        array_fills: Water-filling runs taken by the vectorized core.
+        scalar_fills: Water-filling runs.
+        array_fills: Always 0; kept only because the benchmark's layer
+            reader sums it with ``scalar_fills``.
     """
 
     solve_calls: int = 0
@@ -87,19 +80,9 @@ class IncrementalMaxMinSolver:
     writing a value identical to the current one does not dirty anything,
     so a periodic controller re-applying an unchanged schedule costs no
     re-solve ("arbiter periods reuse unchanged components").
-
-    Args:
-        array_crossover: Component size (flow count) at which solves switch
-            from the scalar core to the vectorized :mod:`repro.sim.arrays`
-            core.  ``None`` uses the measured default; ``0`` forces the
-            array path everywhere (tests), a very large value forces the
-            scalar path.
     """
 
-    def __init__(self, array_crossover: Optional[int] = None) -> None:
-        self.array_crossover = (DEFAULT_ARRAY_CROSSOVER
-                                if array_crossover is None
-                                else array_crossover)
+    def __init__(self) -> None:
         self._flows: Dict[str, FlowDemand] = {}
         self._flow_order: Dict[str, int] = {}
         self._order_seq = itertools.count()
@@ -123,29 +106,6 @@ class IncrementalMaxMinSolver:
 
         self._rates: Dict[str, float] = {}
         self.stats = SolverStats()
-
-    # -- class-level from-scratch entry point -------------------------------
-
-    @staticmethod
-    def solve_once(
-        flows: Sequence[FlowDemand],
-        capacities: Mapping[str, float],
-        extra_constraints: Iterable[Constraint] = (),
-    ) -> Dict[str, float]:
-        """One stateless from-scratch solve (what ``max_min_fair_rates``
-        delegates to).  Runs the same progressive filling the stateless
-        function always ran; instances of
-        :data:`~repro.sim.arrays.DEFAULT_ARRAY_CROSSOVER` flows or more
-        take the vectorized core (equivalent within fp accumulation
-        order), smaller ones the scalar reference core."""
-        if not flows:
-            return {}
-        members, caps = build_problem(flows, capacities, extra_constraints)
-        if len(flows) >= DEFAULT_ARRAY_CROSSOVER:
-            rates = progressive_fill_array(flows, members, caps)
-        else:
-            rates = progressive_fill(flows, members, caps)
-        return {f.flow_id: rates[i] for i, f in enumerate(flows)}
 
     # -- mutation API --------------------------------------------------------
 
@@ -294,22 +254,16 @@ class IncrementalMaxMinSolver:
             "dirty_constraints": len(self._touched_cids),
         }):
             before = (self.stats.noop_solves, self.stats.full_solves,
-                      self.stats.component_solves, self.stats.flows_resolved,
-                      self.stats.scalar_fills, self.stats.array_fills)
+                      self.stats.component_solves, self.stats.flows_resolved)
             rates = self._solve_untracked()
             if self.stats.noop_solves > before[0]:
                 TRACER.annotate(kind="noop")
             else:
-                scalar = self.stats.scalar_fills - before[4]
-                vector = self.stats.array_fills - before[5]
                 TRACER.annotate(
                     kind=("full" if self.stats.full_solves > before[1]
                           else "incremental"),
                     components=self.stats.component_solves - before[2],
                     flows_resolved=self.stats.flows_resolved - before[3],
-                    fill=("mixed" if scalar and vector
-                          else "array" if vector
-                          else "scalar" if scalar else "none"),
                 )
             return rates
 
@@ -328,14 +282,9 @@ class IncrementalMaxMinSolver:
     def _fill(self, flows: List[FlowDemand],
               members: Dict[str, List[int]],
               caps: Dict[str, float]) -> List[float]:
-        """Water-fill one built problem on the core its size selects."""
-        if len(flows) >= self.array_crossover:
-            rates = progressive_fill_array(flows, members, caps)
-            self.stats.array_fills += 1
-        else:
-            rates = progressive_fill(flows, members, caps)
-            self.stats.scalar_fills += 1
-        return rates
+        """Water-fill one built problem."""
+        self.stats.scalar_fills += 1
+        return progressive_fill(flows, members, caps)
 
     def _full_solve(self) -> None:
         flows = list(self._flows.values())
@@ -396,7 +345,7 @@ class IncrementalMaxMinSolver:
         return components
 
     def _solve_component(self, component: List[str]) -> None:
-        """Re-solve one component, picking the core by component size."""
+        """Re-solve one component."""
         flows = [self._flows[fid] for fid in component]
         # Inline problem build: resident flows were validated at set_flow
         # time, so this skips build_problem's unknown-constraint checks and
@@ -416,7 +365,10 @@ class IncrementalMaxMinSolver:
             for cid, constraint in self._virtual.items():
                 inside = self._members.get(cid, set()) & component_set
                 if inside:
-                    members[cid] = [index[fid] for fid in inside]
+                    # Flow-index order, not set order: the fill sums and
+                    # freezes members in list order, and unequal weights
+                    # would round differently under each hash seed.
+                    members[cid] = sorted(index[fid] for fid in inside)
                     caps[cid] = float(constraint.capacity)
         rates = self._fill(flows, members, caps)
         for i, f in enumerate(flows):

@@ -3,13 +3,9 @@
 Kept plain Python + math on purpose.  These helpers see small inputs
 (telemetry windows of tens to hundreds of samples), and at that size
 numpy loses: converting a short Python list to an ndarray plus the
-per-call dispatch overhead costs more than the arithmetic it saves — the
-same breakeven measured for the solver, where the vectorized
-water-filling core in :mod:`repro.sim.arrays` only wins above roughly a
-couple dozen flows and the scalar core is kept for small components.
-numpy *is* now a hot-path dependency there (large solves vectorize, with
-a pure-Python fallback when it is unavailable); these helpers stay
-scalar not by policy but because their n never reaches the crossover.
+per-call dispatch overhead costs more than the arithmetic it saves.  The
+solver's water-filling is scalar for the same reason: no workload hands
+it a component large enough for a vectorized core to pay (DESIGN §10).
 """
 
 from __future__ import annotations

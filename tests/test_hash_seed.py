@@ -8,10 +8,18 @@ hash seeds and compares SHA-256 digests of what they produce:
 * one managed host with live flows and the arbiter: a KV tenant behind a
   guaranteed pipe plus admitted finite transfers, digesting the ledger,
   every transfer's completion time and the KV latencies;
-* a small fleet replaying a synthesized trace, digesting its report.
+* a small fleet replaying a synthesized trace, digesting its report;
+* a fabric where tenant caps on one direction and on both bind flows of
+  unequal weight, digesting every flow's rate after every step;
+* one stateless solve where tenant caps bind flows of unequal weight.
+
+The water-filling core sums a cap's member weights in list order, so a
+member list built in set order rounds differently under each seed: the
+fabric scenario checks the incremental solver's component build, the
+stateless solve ``build_problem``.
 
 Run directly (``python tests/test_hash_seed.py``), the module prints the
-two digests.
+four digests.
 """
 
 import hashlib
@@ -24,6 +32,9 @@ from pathlib import Path
 
 import repro
 from repro import Fleet, Host, cascade_lake_2s, pipe
+from repro.sim import (Constraint, Engine, FabricNetwork, FlowDemand,
+                       max_min_fair_rates)
+from repro.topology import k_shortest_paths
 from repro.units import Gbps, kib
 from repro.workloads.apps import KvStoreApp
 from repro.workloads.cluster_traces import (
@@ -78,6 +89,48 @@ def replay_outcome():
         fleet.shutdown()
 
 
+def fabric_outcome():
+    rng = random.Random("hash-seed-caps")
+    network = FabricNetwork(cascade_lake_2s(), Engine())
+    pairs = [("nic0", "dimm0-0"), ("dimm0-0", "nic0"), ("nic0", "dimm1-0"),
+             ("dimm1-0", "nic0"), ("gpu0", "dimm1-1"), ("nvme0", "dimm0-1")]
+    routes = {pair: k_shortest_paths(network.topology, *pair, k=2)
+              for pair in pairs}
+    capped = ["pcie-nic0", "mesh0-0", "upi-socket0-socket1-0",
+              "upi-socket0-socket1-1", "membus1-0"]
+    tenants = ("t0", "t1", "t2")
+    rates = []
+    for _step in range(60):
+        action = rng.random()
+        active = network.active_flows()
+        if action < 0.5 or not active:
+            network.start_transfer(
+                rng.choice(tenants), rng.choice(routes[rng.choice(pairs)]),
+                weight=rng.uniform(0.2, 3.0))
+        elif action < 0.6:
+            network.cancel_flow(rng.choice(active).flow_id)
+        else:
+            caps = {tenant: Gbps(rng.uniform(5, 80)) for tenant in tenants
+                    if rng.random() < 0.7}
+            network.set_link_caps(rng.choice(capped), caps,
+                                  direction=rng.choice(("fwd", "rev", None)))
+        rates.append([(flow.flow_id, flow.current_rate)
+                      for flow in network.active_flows()])
+    return rates
+
+
+def solver_outcome():
+    rng = random.Random("hash-seed-solver")
+    capacities = {f"l{i}": rng.uniform(10.0, 100.0) for i in range(4)}
+    flows = [FlowDemand(f"f{i}", (rng.choice(sorted(capacities)),),
+                        weight=rng.uniform(0.2, 3.0)) for i in range(40)]
+    caps = [Constraint(f"cap{j}", rng.uniform(5.0, 50.0),
+                       frozenset(f.flow_id for f in flows
+                                 if rng.random() < 0.5))
+            for j in range(3)]
+    return max_min_fair_rates(flows, capacities, caps)
+
+
 def digest(value):
     text = json.dumps(value, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
@@ -102,10 +155,12 @@ def test_outcomes_do_not_depend_on_the_hash_seed():
             run.communicate()
     assert [run.returncode for run in runs] == [0, 0]
     first, second = (out.split() for out in outputs)
-    assert len(first) == 2
+    assert len(first) == 4
     assert first == second
 
 
 if __name__ == "__main__":
     print(digest(host_outcome()))
     print(digest(replay_outcome()))
+    print(digest(fabric_outcome()))
+    print(digest(solver_outcome()))

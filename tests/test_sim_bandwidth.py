@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from repro.sim.bandwidth import (
     Constraint,
     FlowDemand,
-    link_utilizations,
     max_min_fair_rates,
 )
+from repro.topology import shortest_path
+
+from .test_solver_certificate import as_tuples, as_virtuals, certificate_failures
 
 
 def solve(flows, caps, extra=()):
@@ -139,16 +141,26 @@ class TestInvalidInputs:
 
 
 class TestUtilizations:
-    def test_utilization_computation(self):
-        flows = [FlowDemand("f1", ("l",)), FlowDemand("f2", ("l",))]
-        rates = solve(flows, {"l": 10.0})
-        utils = link_utilizations(flows, rates, {"l": 10.0})
-        assert utils["l"] == pytest.approx(1.0)
+    """The fabric's utilization reader over the rates the solver gave."""
 
-    def test_zero_capacity_link(self):
-        flows = [FlowDemand("f", ("dead",))]
-        utils = link_utilizations(flows, {"f": 0.0}, {"dead": 0.0})
-        assert utils["dead"] == 0.0
+    def test_utilization_computation(self, minimal_net):
+        path = shortest_path(minimal_net.topology, "nic0", "dimm0-0")
+        flows = [minimal_net.start_transfer("t", path) for _ in range(2)]
+        utils = minimal_net.link_utilizations()
+        for link_id in path.links:
+            capacity = minimal_net.topology.link(link_id).effective_capacity
+            assert utils[link_id] == pytest.approx(
+                sum(f.current_rate for f in flows) / capacity)
+        assert max(utils[link_id] for link_id in path.links) == \
+            pytest.approx(1.0)
+
+    def test_zero_capacity_link(self, minimal_net):
+        path = shortest_path(minimal_net.topology, "nic0", "dimm0-0")
+        dead = path.links[0]
+        minimal_net.set_link_up(dead, False)
+        flow = minimal_net.start_transfer("t", path)
+        assert flow.current_rate == 0.0
+        assert minimal_net.link_utilizations()[dead] == 0.0
 
 
 # -- property-based invariants ------------------------------------------------
@@ -158,59 +170,53 @@ link_names = ["a", "b", "c", "d"]
 
 @st.composite
 def solver_instances(draw):
+    """Up to eight flows over four links, any of them down (zero capacity);
+    a flow may cross a link more than once; weights in 0.1-10; and up to
+    two tenant caps, each over a subset of the flows."""
     n_flows = draw(st.integers(min_value=1, max_value=8))
     caps = {
-        name: draw(st.floats(min_value=0.5, max_value=100.0))
+        name: draw(st.one_of(st.just(0.0),
+                             st.floats(min_value=0.5, max_value=100.0)))
         for name in link_names
     }
     flows = []
     for i in range(n_flows):
-        links = tuple(draw(st.sets(st.sampled_from(link_names), min_size=1,
-                                   max_size=4)))
+        links = tuple(draw(st.lists(st.sampled_from(link_names), min_size=1,
+                                    max_size=4)))
         demand = draw(st.one_of(
             st.just(math.inf),
             st.floats(min_value=0.0, max_value=50.0),
         ))
         weight = draw(st.floats(min_value=0.1, max_value=10.0))
         flows.append(FlowDemand(f"f{i}", links, demand=demand, weight=weight))
-    return flows, caps
+    flow_ids = [f.flow_id for f in flows]
+    tenant_caps = [
+        Constraint(f"cap{j}", draw(st.floats(min_value=0.0, max_value=50.0)),
+                   frozenset(draw(st.sets(st.sampled_from(flow_ids),
+                                          min_size=1))))
+        for j in range(draw(st.integers(min_value=0, max_value=2)))
+    ]
+    return flows, caps, tenant_caps
 
 
 @settings(max_examples=200, deadline=None)
 @given(solver_instances())
 def test_solver_invariants(instance):
-    """No link oversubscribed; no demand exceeded; no negative rates;
-    and the allocation is maximal (some constraint or demand binds every
-    flow)."""
-    flows, caps = instance
-    rates = max_min_fair_rates(flows, caps)
-    tol = 1e-6
-
-    for f in flows:
-        assert rates[f.flow_id] >= -tol
-        assert rates[f.flow_id] <= f.demand * (1 + tol) + tol
-
-    for link, cap in caps.items():
-        load = sum(rates[f.flow_id] for f in flows if link in f.links)
-        assert load <= cap * (1 + 1e-6) + tol
-
-    # Maximality: every flow is bound by its demand or by a saturated link.
-    for f in flows:
-        at_demand = rates[f.flow_id] >= f.demand * (1 - 1e-6) - tol
-        on_saturated = any(
-            sum(rates[g.flow_id] for g in flows if link in g.links)
-            >= caps[link] * (1 - 1e-6) - tol
-            for link in f.links
-        )
-        assert at_demand or on_saturated, (
-            f"flow {f.flow_id} is not maximal: rate={rates[f.flow_id]}"
-        )
+    """The weighted max-min certificate, checked from the inputs alone: no
+    constraint oversubscribed, every rate in [0, demand], and every flow
+    either at its demand or on a saturated constraint where its rate per
+    unit of weight is the largest of any member."""
+    flows, caps, tenant_caps = instance
+    rates = max_min_fair_rates(flows, caps, tenant_caps)
+    failures = certificate_failures(as_tuples(flows), caps,
+                                    as_virtuals(tenant_caps), rates)
+    assert not failures, failures
 
 
 @settings(max_examples=100, deadline=None)
 @given(solver_instances())
 def test_solver_deterministic(instance):
-    flows, caps = instance
-    first = max_min_fair_rates(flows, caps)
-    second = max_min_fair_rates(flows, caps)
+    flows, caps, tenant_caps = instance
+    first = max_min_fair_rates(flows, caps, tenant_caps)
+    second = max_min_fair_rates(flows, caps, tenant_caps)
     assert first == second

@@ -10,7 +10,6 @@ from repro.sim import Engine, FabricNetwork, IncrementalMaxMinSolver
 from repro.sim.bandwidth import (
     Constraint,
     FlowDemand,
-    link_utilizations,
     max_min_fair_rates,
 )
 from repro.topology import cascade_lake_2s, minimal_host, shortest_path
@@ -170,15 +169,6 @@ def test_incremental_solver_reuses_untouched_components():
     # And a clean solve is free.
     solver.solve()
     assert solver.stats.noop_solves == 1
-
-
-def test_wrapper_delegates_to_solve_once():
-    flows = [FlowDemand("a", ("x|fwd",), demand=Gbps(10)),
-             FlowDemand("b", ("x|fwd", "y|fwd"))]
-    capacities = {"x|fwd": Gbps(16), "y|fwd": Gbps(4)}
-    assert max_min_fair_rates(flows, capacities) == (
-        IncrementalMaxMinSolver.solve_once(flows, capacities)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -343,18 +333,27 @@ def test_arbiter_steady_state_is_cheap():
 
 
 class TestLinkUtilizationsClamp:
-    def test_clamped_by_default(self):
-        flows = [FlowDemand("a", ("x|fwd",), demand=Gbps(10))]
-        rates = {"a": Gbps(15)}   # e.g. measured counters past a stale cap
-        caps = {"x|fwd": Gbps(10)}
-        assert link_utilizations(flows, rates, caps)["x|fwd"] == 1.0
+    @staticmethod
+    def _read_past_stale_cap(net):
+        """Saturate a link, then halve its capacity behind the solver's
+        back: the fabric's rates now run past the link's (stale) cap."""
+        net.start_transfer("t", path_of(net, "nic0", "dimm0-0"))
+        link_id = next(link_id for link_id, util
+                       in net.link_utilizations(clamp=False).items()
+                       if util == pytest.approx(1.0))
+        link = net.topology.link(link_id)
+        link.degraded_capacity = link.capacity / 2
+        return link_id
 
-    def test_unclamped_shows_oversubscription(self):
-        flows = [FlowDemand("a", ("x|fwd",), demand=Gbps(10))]
-        rates = {"a": Gbps(15)}
-        caps = {"x|fwd": Gbps(10)}
-        util = link_utilizations(flows, rates, caps, clamp=False)
-        assert util["x|fwd"] == pytest.approx(1.5)
+    def test_clamped_by_default(self, minimal_net):
+        link_id = self._read_past_stale_cap(minimal_net)
+        assert minimal_net.link_utilizations()[link_id] == 1.0
+        assert minimal_net.link_utilization(link_id) == 1.0
+
+    def test_unclamped_shows_oversubscription(self, minimal_net):
+        link_id = self._read_past_stale_cap(minimal_net)
+        util = minimal_net.link_utilizations(clamp=False)
+        assert util[link_id] == pytest.approx(2.0)
 
     def test_monitor_collector_is_unclamped(self, minimal_net):
         from repro.monitor import HostMonitor

@@ -5,15 +5,18 @@ either gets its demand or crosses a saturated constraint on which its
 rate per unit of weight is the largest of any member (its bottleneck).
 :func:`certificate_failures` checks that from the inputs alone: it uses
 neither ``build_problem`` nor anything inside the solver, so a defect the
-scalar and array cores share, which the equivalence suites in
-``test_sim_arrays.py`` cannot see, fails here.
+library's scalar core shares with the array reference it is compared
+against in ``test_sim_arrays.py``, which that comparison cannot see,
+fails here.
 
-Every case runs on both cores (``array_crossover=0`` and ``10**9``):
-random instances with weights, repeated crossings, zero-capacity links
-and virtual constraints; incremental mutation streams; the 1k-flow
-benchmark shape; and a fabric with per-tenant caps on one direction and
-on both, tenant weights and per-flow rate caps, where the test derives
-each flow's directed hops, effective demand and weight itself.
+Every case runs on both cores, each swapped in for every fill the solver
+makes: the library's ``progressive_fill`` and the test-only
+``array_fill``, so the reference is certified as well.  The cases: random
+instances with weights, repeated crossings, zero-capacity links and
+virtual constraints; incremental mutation streams; the 1k-flow benchmark
+shape; and a fabric with per-tenant caps on one direction and on both,
+tenant weights and per-flow rate caps, where the test derives each
+flow's directed hops, effective demand and weight itself.
 """
 
 import math
@@ -21,7 +24,7 @@ import random
 
 import pytest
 
-import repro.sim.network as network_module
+import repro.sim.solver as solver_module
 from repro.sim import (
     Constraint,
     Engine,
@@ -29,18 +32,19 @@ from repro.sim import (
     FlowDemand,
     IncrementalMaxMinSolver,
 )
+from repro.sim.bandwidth import progressive_fill
 from repro.sim.rng import make_rng
 from repro.topology import cascade_lake_2s, k_shortest_paths
 from repro.units import Gbps
 
-from .test_sim_arrays import random_problem
+from .test_sim_arrays import array_fill, random_problem
 from .test_sim_rate_readers import ENDPOINT_PAIRS, hop_ways
 
 #: Relative tolerance of every comparison; the absolute term only lets
 #: zero-capacity constraints and zero demands compare with 0.
 REL = 1e-6
 ABS = 1e-9
-CORES = {"array": 0, "scalar": 10**9}
+CORES = {"array": array_fill, "scalar": progressive_fill}
 
 
 def certificate_failures(flows, capacities, virtuals, rates):
@@ -90,30 +94,38 @@ def certificate_failures(flows, capacities, virtuals, rates):
     return failures
 
 
-def _as_tuples(flows):
+def as_tuples(flows):
     return [(f.flow_id, f.links, f.demand, f.weight) for f in flows]
 
 
-def _as_virtuals(constraints):
+def as_virtuals(constraints):
     return {c.constraint_id: (c.capacity, c.member_flows)
             for c in constraints}
 
 
-def _solve(crossover, flows, capacities, constraints):
-    solver = IncrementalMaxMinSolver(array_crossover=crossover)
+def _use_core(monkeypatch, core):
+    """Make every fill the solver runs use *core*; returns the list each
+    fill appends its flow count to."""
+    fills = []
+    fill = CORES[core]
+
+    def counted(flows, members, caps):
+        fills.append(len(flows))
+        return fill(flows, members, caps)
+
+    monkeypatch.setattr(solver_module, "progressive_fill", counted)
+    return fills
+
+
+def _solve(flows, capacities, constraints):
+    solver = IncrementalMaxMinSolver()
     for cid, capacity in capacities.items():
         solver.set_capacity(cid, capacity)
     for flow in flows:
         solver.set_flow(flow)
     for constraint in constraints:
         solver.set_constraint(constraint)
-    rates = solver.solve()
-    return solver, rates
-
-
-def _assert_core_ran(stats, core):
-    fills = stats.array_fills if core == "array" else stats.scalar_fills
-    assert fills > 0, f"the {core} core never ran"
+    return solver.solve()
 
 
 def _report(bad, total):
@@ -130,16 +142,17 @@ RANDOM_SEEDS = 400
 
 
 @pytest.mark.parametrize("core", CORES)
-def test_random_instances(core):
+def test_random_instances(core, monkeypatch):
+    fills = _use_core(monkeypatch, core)
     bad = []
     for seed in range(RANDOM_SEEDS):
         flows, capacities, virtuals = random_problem(random.Random(seed))
-        solver, rates = _solve(CORES[core], flows, capacities, virtuals)
-        _assert_core_ran(solver.stats, core)
-        failures = certificate_failures(_as_tuples(flows), capacities,
-                                        _as_virtuals(virtuals), rates)
+        rates = _solve(flows, capacities, virtuals)
+        failures = certificate_failures(as_tuples(flows), capacities,
+                                        as_virtuals(virtuals), rates)
         if failures:
             bad.append((f"seed {seed}", failures))
+    assert fills, f"the {core} core never ran"
     assert not bad, _report(bad, RANDOM_SEEDS)
 
 
@@ -210,20 +223,21 @@ STREAM_SEEDS = 60
 
 
 @pytest.mark.parametrize("core", CORES)
-def test_incremental_mutation_streams(core):
+def test_incremental_mutation_streams(core, monkeypatch):
+    fills = _use_core(monkeypatch, core)
     bad = []
     total = 0
     for seed in range(STREAM_SEEDS):
-        solver = IncrementalMaxMinSolver(array_crossover=CORES[core])
+        solver = IncrementalMaxMinSolver()
         for step, flows, capacities, virtuals, rates in _mutation_stream(
                 solver, seed):
             total += 1
             failures = certificate_failures(
-                _as_tuples(flows), capacities,
-                _as_virtuals(virtuals.values()), rates)
+                as_tuples(flows), capacities,
+                as_virtuals(virtuals.values()), rates)
             if failures:
                 bad.append((f"seed {seed} step {step}", failures))
-        _assert_core_ran(solver.stats, core)
+    assert fills, f"the {core} core never ran"
     assert not bad, _report(bad, total)
 
 
@@ -249,11 +263,12 @@ def _large_instance(seed, n_flows=1000, n_cons=200):
 
 @pytest.mark.parametrize("core", CORES)
 @pytest.mark.parametrize("seed", [11, 12])
-def test_large_instance(core, seed):
+def test_large_instance(core, seed, monkeypatch):
+    fills = _use_core(monkeypatch, core)
     flows, capacities = _large_instance(seed)
-    solver, rates = _solve(CORES[core], flows, capacities, ())
-    _assert_core_ran(solver.stats, core)
-    failures = certificate_failures(_as_tuples(flows), capacities, {}, rates)
+    rates = _solve(flows, capacities, ())
+    assert fills, f"the {core} core never ran"
+    failures = certificate_failures(as_tuples(flows), capacities, {}, rates)
     assert not failures, _report([(f"seed {seed}", failures)], 1)
 
 
@@ -296,9 +311,7 @@ def fabric_problem(network, tenant_caps):
 
 @pytest.mark.parametrize("core", CORES)
 def test_fabric_tenant_caps(core, monkeypatch):
-    monkeypatch.setattr(
-        network_module, "IncrementalMaxMinSolver",
-        lambda: IncrementalMaxMinSolver(array_crossover=CORES[core]))
+    fills = _use_core(monkeypatch, core)
     bad = []
     total = 0
     for seed in range(12):
@@ -353,5 +366,5 @@ def test_fabric_tenant_caps(core, monkeypatch):
                 *fabric_problem(network, tenant_caps))
             if failures:
                 bad.append((f"seed {seed} step {step}", failures))
-        _assert_core_ran(network.solver_stats, core)
+    assert fills, f"the {core} core never ran"
     assert not bad, _report(bad, total)
