@@ -320,21 +320,13 @@ class DynamicArbiter:
         # flags); churn moves one link's floors at a time, and a
         # re-solve moves only the usage of links its flows cross, so most
         # links present an unchanged signature each round and reuse their
-        # cached allocation — and caps are re-programmed into the fabric
-        # only for links whose signature moved since the last emission.
+        # cached (signature, allocation) without re-programming a cap.
+        # Whatever lifts caps behind the cache drops its entries.
         self._floor_versions: Dict[Tuple[str, str], int] = {}
         self._best_effort_version = 0
         self._link_cache: Dict[Tuple[str, str], tuple] = {}
-        self._emitted_sig: Dict[Tuple[str, str], tuple] = {}
         self._emitted_caps: Dict[Tuple[str, str], Dict[str, float]] = {}
         self._applying = False
-        # When the round's global inputs (roster, modes, the idle marker,
-        # recompute counter) are unchanged, only keys explicitly dirtied
-        # by a floor/ceiling mutation can differ — the loop reuses every
-        # other key's cached allocation without even rebuilding its
-        # signature.
-        self._dirty_keys: Set[Tuple[str, str]] = set()
-        self._last_round_globals: Optional[tuple] = None
 
         self.adjustments = 0
         self.skipped_adjustments = 0
@@ -368,27 +360,32 @@ class DynamicArbiter:
             raise ArbiterError(f"floor bandwidth must be finite and > 0, "
                                f"got {bandwidth}")
         self.network.topology.link(link_id)  # validate
+        keys = self._floor_keys(link_id, direction)
         self._config_changed()
-        for key in self._floor_keys(link_id, direction):
+        for key in keys:
             per_tenant = self._floors.setdefault(key, {})
             per_tenant[tenant_id] = per_tenant.get(tenant_id, 0.0) + bandwidth
             self._floor_versions[key] = self._floor_versions.get(key, 0) + 1
-            self._dirty_keys.add(key)
 
     def remove_floor(self, tenant_id: str, link_id: str,
                      bandwidth: float,
                      direction: Optional[str] = None) -> None:
-        """Subtract *bandwidth* from a floor (removing it at zero)."""
-        self._config_changed()
-        for key in self._floor_keys(link_id, direction):
-            per_tenant = self._floors.get(key, {})
-            current = per_tenant.get(tenant_id)
-            if current is None:
+        """Subtract *bandwidth* from a floor (removing it at zero); a
+        rejected call changes nothing."""
+        if not (math.isfinite(bandwidth) and bandwidth > 0):
+            raise ArbiterError(f"floor bandwidth must be finite and > 0, "
+                               f"got {bandwidth}")
+        keys = self._floor_keys(link_id, direction)
+        for key in keys:
+            if tenant_id not in self._floors.get(key, ()):
                 raise ArbiterError(
                     f"no floor for tenant {tenant_id!r} on "
                     f"{key[0]!r}/{key[1]}"
                 )
-            remaining = current - bandwidth
+        self._config_changed()
+        for key in keys:
+            per_tenant = self._floors[key]
+            remaining = per_tenant[tenant_id] - bandwidth
             if remaining <= 1e-9:
                 del per_tenant[tenant_id]
                 if not per_tenant:
@@ -396,7 +393,6 @@ class DynamicArbiter:
             else:
                 per_tenant[tenant_id] = remaining
             self._floor_versions[key] = self._floor_versions.get(key, 0) + 1
-            self._dirty_keys.add(key)
 
     def set_utilization_ceiling(self, owner: str, link_id: str,
                                 ceiling: float) -> None:
@@ -412,7 +408,6 @@ class DynamicArbiter:
         self.network.topology.link(link_id)  # validate
         self._config_changed()
         self._ceilings.setdefault(link_id, {})[owner] = ceiling
-        self._dirty_keys.update(((link_id, "fwd"), (link_id, "rev")))
 
     def clear_utilization_ceiling(self, owner: str, link_id: str) -> None:
         """Remove one owner's ceiling on *link_id* (no-op if absent)."""
@@ -422,7 +417,6 @@ class DynamicArbiter:
             del owners[owner]
             if not owners:
                 del self._ceilings[link_id]
-            self._dirty_keys.update(((link_id, "fwd"), (link_id, "rev")))
 
     def ceiling_on(self, link_id: str) -> float:
         """The effective (strictest) ceiling on *link_id*; 1.0 if none."""
@@ -514,7 +508,7 @@ class DynamicArbiter:
                     self.network.clear_link_caps(link_id, tenants,
                                                  direction=direction)
             self._capped.clear()
-            self._emitted_sig.clear()
+            self._link_cache.clear()
             self._emitted_caps.clear()
 
     # -- the control loop -------------------------------------------------------
@@ -565,10 +559,8 @@ class DynamicArbiter:
         # On a fabric with no live flows every usage reading is zero, so
         # "idle" stands in for every link's usage; otherwise each link's
         # signature carries that link's own rate version, which moves
-        # whenever its {tenant: rate} map may have.  For the per-key fast
-        # loop, usage can only move when the fabric re-solves.
+        # whenever its {tenant: rate} map may have.
         fabric_idle = not self.network.active_flows()
-        usage_token = "idle" if fabric_idle else self.network.recompute_count
         # There, with every usage zero, the work-conserving demand-aware
         # rule is idle_caps's closed form.
         closed_form = (fabric_idle and self.work_conserving
@@ -577,23 +569,9 @@ class DynamicArbiter:
         rate_version = self.network.rate_version
         mode = (self.work_conserving, self.lend_parked_floors,
                 self.demand_aware)
-        # With unchanged global inputs, only explicitly-dirtied keys can
-        # produce a different allocation (capacity cannot move without a
-        # recompute, and every floor/ceiling mutation dirties its key) —
-        # everything else reuses its cached allocation wholesale.
-        round_globals = (self._best_effort_version, mode, usage_token,
-                         self.network.recompute_count,
-                         self.degradation_aware)
-        clean_globals = round_globals == self._last_round_globals
-        dirty_keys = self._dirty_keys
         link_cache = self._link_cache
         topology_link = self.network.topology.link
         for key, floors in self._floors.items():
-            if clean_globals and key not in dirty_keys:
-                cached = link_cache.get(key)
-                if cached is not None:
-                    allocations.append(cached[1])
-                    continue
             link_id, direction = key
             link = topology_link(link_id)
             # By default the arbiter believes the spec sheet; in
@@ -607,62 +585,56 @@ class DynamicArbiter:
             sig = (self._floor_versions.get(key, 0),
                    self._best_effort_version, capacity, ceiling,
                    link_usage, mode)
-            cached = self._link_cache.get(key)
+            cached = link_cache.get(key)
             if cached is not None and cached[0] == sig:
-                allocation, caps = cached[1], cached[2]
+                # The fabric still holds exactly these caps.
+                allocations.append(cached[1])
+                continue
+            self.allocations_computed += 1
+            link_floors = dict(floors)
+            if closed_form:
+                # compute_caps's all-idle rule, without its tenant-set
+                # union: the caps cover the roster, then the floor
+                # holders off it (a floor holder is never best-effort
+                # on its own link).  Only that cap order differs from
+                # compute_caps's, and on a flowless fabric no rate,
+                # reading or digest depends on it.
+                caps = idle_caps(capacity, link_floors, best_effort,
+                                 (), ceiling, self.lend_parked_floors)
+                usages = dict.fromkeys(caps, 0.0)
+                usages.pop(SYSTEM_TENANT, None)
             else:
-                self.allocations_computed += 1
-                link_floors = dict(floors)
-                if closed_form:
-                    # compute_caps's all-idle rule, without its tenant-set
-                    # union: the caps cover the roster, then the floor
-                    # holders off it (a floor holder is never best-effort
-                    # on its own link).  Only that cap order differs from
-                    # compute_caps's, and on a flowless fabric no rate,
-                    # reading or digest depends on it.
-                    caps = idle_caps(capacity, link_floors, best_effort,
-                                     (), ceiling, self.lend_parked_floors)
-                    usages = dict.fromkeys(caps, 0.0)
-                    usages.pop(SYSTEM_TENANT, None)
-                else:
-                    # Built only on a miss: the signature needs no tenant
-                    # set, and no usage read.
-                    tenants = set(link_floors) | best_effort
-                    tenants.discard(SYSTEM_TENANT)
-                    usages = (dict.fromkeys(tenants, 0.0) if fabric_idle
-                              else self.network.tenant_link_rates(
-                                  link_id, direction, tenants))
-                    caps = compute_caps(
-                        capacity=capacity, floors=link_floors, usages=usages,
-                        best_effort={t for t in best_effort
-                                     if t not in link_floors},
-                        work_conserving=self.work_conserving,
-                        utilization_ceiling=ceiling,
-                        lend_parked_floors=self.lend_parked_floors,
-                        demand_aware=self.demand_aware,
-                    )
-                allocation = LinkAllocation(
-                    link_id=f"{link_id}|{direction}", capacity=capacity,
-                    floors=link_floors, usages=usages, caps=dict(caps),
+                # Built only on a miss: the signature needs no tenant
+                # set, and no usage read.
+                tenants = set(link_floors) | best_effort
+                tenants.discard(SYSTEM_TENANT)
+                usages = (dict.fromkeys(tenants, 0.0) if fabric_idle
+                          else self.network.tenant_link_rates(
+                              link_id, direction, tenants))
+                caps = compute_caps(
+                    capacity=capacity, floors=link_floors, usages=usages,
+                    best_effort={t for t in best_effort
+                                 if t not in link_floors},
+                    work_conserving=self.work_conserving,
+                    utilization_ceiling=ceiling,
+                    lend_parked_floors=self.lend_parked_floors,
+                    demand_aware=self.demand_aware,
                 )
-                self._link_cache[key] = (sig, allocation, caps)
+            allocation = LinkAllocation(
+                link_id=f"{link_id}|{direction}", capacity=capacity,
+                floors=link_floors, usages=usages, caps=caps,
+            )
+            link_cache[key] = (sig, allocation)
             allocations.append(allocation)
-            # Emit caps into the fabric only when this link's inputs moved
-            # since the last emission — the programmed caps are still
-            # exactly these values otherwise.
-            if self._emitted_sig.get(key) != sig:
-                self._emitted_sig[key] = sig
-                emitted = self._emitted_caps.setdefault(key, {})
-                # Within a changed link, most tenants usually keep the
-                # same cap (equal shares of an unchanged pool); only
-                # program the ones that actually moved.
-                moved = {tenant: cap for tenant, cap in caps.items()
-                         if emitted.get(tenant) != cap}
-                if moved:
-                    emitted.update(moved)
-                    pending.append((link_id, direction, moved))
-        dirty_keys.clear()
-        self._last_round_globals = round_globals
+            emitted = self._emitted_caps.setdefault(key, {})
+            # Within a changed link, most tenants usually keep the same
+            # cap (equal shares of an unchanged pool); only program the
+            # ones that actually moved.
+            moved = {tenant: cap for tenant, cap in caps.items()
+                     if emitted.get(tenant) != cap}
+            if moved:
+                emitted.update(moved)
+                pending.append((link_id, direction, moved))
 
         quiesced: Optional[tuple] = None
         if pending:
@@ -721,14 +693,6 @@ class DynamicArbiter:
                 # fold the apply into the quiesced state instead of waking
                 # up just to discover a no-op.
                 self._quiesced_state = self._input_fingerprint()
-                if self._last_round_globals is not None:
-                    # Same reasoning for the per-key fast loop: advance its
-                    # recompute component past our own enforcement so the
-                    # next round still treats untouched keys as clean.
-                    g = self._last_round_globals
-                    self._last_round_globals = (
-                        g[:3] + (self.network.recompute_count,) + g[4:]
-                    )
             elif self._running:
                 self._arm()
         finally:
@@ -748,10 +712,9 @@ class DynamicArbiter:
                 tenants.discard(tenant_id)
                 if not tenants:
                     del self._capped[key]
-                # Caps were cleared behind the emission tracking: the next
-                # round must re-program this link even if its inputs are
-                # otherwise unchanged.
-                self._emitted_sig.pop(key, None)
+                # A cap was cleared behind the cache: the next round
+                # recomputes and re-programs this link.
+                self._link_cache.pop(key, None)
                 self._emitted_caps.get(key, {}).pop(tenant_id, None)
 
     def lift_link_caps(self, link_id: str) -> None:
@@ -764,5 +727,5 @@ class DynamicArbiter:
                     continue
                 self.network.clear_link_caps(link_id, tenants,
                                              direction=direction)
-                self._emitted_sig.pop(key, None)
+                self._link_cache.pop(key, None)
                 self._emitted_caps.pop(key, None)

@@ -327,30 +327,13 @@ class FabricNetwork:
         fails its check raises ``ValueError`` after the entries before it
         were installed (and their re-solve requested).
         """
-        if link_id not in self._link_bytes:
-            raise UnknownLinkError(link_id)
-        if direction not in (None, FORWARD, REVERSE):
-            raise ValueError(f"direction must be fwd/rev/None, "
-                             f"got {direction!r}")
+        self._check_link_key(link_id, direction)
         if not caps:
             return
         link_key = (link_id, direction)
         installed = self._link_caps.get(link_key)
         if installed is None:
             installed = self._link_caps[link_key] = {}
-        if not self._flows:
-            values = caps.values()
-            total = sum(values)
-            # A NaN cap makes the sum NaN, and a negative one the min.
-            if min(values) >= 0 and total == total:
-                # Flowless: no cap binds a flow, so no membership or
-                # solver constraint exists to update (see _cap_members),
-                # and caps that all moved install in bulk.  Any equal cap
-                # takes the per-cap loop below, which never rewrites it.
-                if caps.items().isdisjoint(installed.items()):
-                    installed.update(caps)
-                    self._recompute()
-                    return
         changed = False
         try:
             for tenant_id, cap in caps.items():
@@ -397,6 +380,7 @@ class FabricNetwork:
         other tenants' caps on the link stay, and at most one re-solve is
         requested.
         """
+        self._check_link_key(link_id, direction)
         installed = self._link_caps.get((link_id, direction))
         if installed is None:
             return
@@ -417,6 +401,14 @@ class FabricNetwork:
             self._drop_cap(installed, key)
         if stale:
             self._recompute()
+
+    def _check_link_key(self, link_id: str,
+                        direction: Optional[str]) -> None:
+        if link_id not in self._link_bytes:
+            raise UnknownLinkError(link_id)
+        if direction not in (None, FORWARD, REVERSE):
+            raise ValueError(f"direction must be fwd/rev/None, "
+                             f"got {direction!r}")
 
     def _drop_cap(self, installed: Dict[str, float],
                   key: Tuple[str, str, Optional[str]]) -> None:

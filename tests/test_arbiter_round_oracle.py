@@ -1,14 +1,16 @@
 """The arbiter's round against a recomputation that shares none of its cache.
 
-``DynamicArbiter`` keeps per-link signatures, a clean-key fast loop, a
-quiescence fingerprint and an emission cache, all so that most rounds can
-reuse earlier allocations.  Seeded random streams drive a
-``cascade_lake_2s`` fabric and an arbiter through transfers starting and
-stopping, demand changes (and swaps, which move usage between tenants at
-an unchanged total), cross-socket transfers rerouted between the two UPI
-links, floors added and removed in one direction or both,
-ceilings set and cleared, best-effort registrations, link degradation and
-repair, ``degradation_aware`` and mode flips, and clock steps.
+``DynamicArbiter`` keeps a per-link signature cache, a quiescence
+fingerprint and a record of the caps it emitted, all so that most rounds
+can reuse earlier allocations and re-program only the caps that moved.
+Seeded random streams drive a ``cascade_lake_2s`` fabric and an arbiter
+through transfers starting and stopping, demand changes (and swaps, which
+move usage between tenants at an unchanged total), cross-socket transfers
+rerouted between the two UPI links, floors added and removed in one
+direction or both, ceilings set and cleared, best-effort registrations
+and unregistrations (of any tenant, floor holders included), stops that
+lift every cap followed by a restart, link degradation and repair,
+``degradation_aware`` and mode flips, and clock steps.
 
 The test keeps its own model of floors, ceilings and roster, built from
 the operations it performs.  Before each round it reads every tenant's
@@ -17,7 +19,8 @@ when the round starts); after the round each returned allocation must
 equal ``compute_caps`` on those reads, the model's floors, ceiling and
 roster, and the capacity the topology reports.  Once the round's caps
 have landed, the fabric must hold exactly the allocated cap for every
-tenant.  Runs with the 10 us default decision latency and with 0.
+tenant, also after an unregistration or a stop lifted caps whose inputs
+did not move.  Runs with the 10 us default decision latency and with 0.
 
 A second, flowless stream starts no transfer, so every round takes the
 arbiter's idle path; there ``compute_caps`` is no independent oracle,
@@ -185,6 +188,20 @@ class ArbiterStream:
         self.arbiter.register_best_effort(tenant)
         self.roster.add(tenant)
 
+    def unregister_any(self):
+        # Lifts the tenant's caps on every link.  A floor holder off the
+        # roster keeps its floors (the roster does not move), so the next
+        # round must re-program its caps from the same inputs.
+        tenant = self.rng.choice(TENANTS + ["be0"])
+        self.arbiter.unregister_best_effort(tenant)
+        self.roster.discard(tenant)
+
+    def restart(self):
+        # Lifts every cap; once started, the arbiter also runs its own
+        # periodic rounds while the clock advances.
+        self.arbiter.stop(lift_caps=True)
+        self.arbiter.start()
+
     def degrade(self):
         link = self.rng.choice(self.links)
         if self.rng.random() < 0.6:
@@ -208,8 +225,9 @@ class ArbiterStream:
 
     OPERATIONS = [(start, 6), (cancel, 2), (demand, 3), (swap, 3),
                   (reroute, 2), (add_floor, 5), (remove_floor, 3), (ceiling, 2),
-                  (best_effort, 1), (degrade, 1), (toggle_aware, 1),
-                  (flip_mode, 1), (advance, 3)]
+                  (best_effort, 1), (unregister_any, 1), (restart, 1),
+                  (degrade, 1), (toggle_aware, 1), (flip_mode, 1),
+                  (advance, 3)]
 
     def step(self):
         operations, weights = zip(*self.OPERATIONS)
@@ -289,6 +307,7 @@ class FlowlessStream(ArbiterStream):
     OPERATIONS = [(ArbiterStream.add_floor, 5),
                   (ArbiterStream.remove_floor, 3),
                   (ArbiterStream.ceiling, 2), (register, 3), (unregister, 1),
+                  (ArbiterStream.restart, 1),
                   (ArbiterStream.degrade, 1), (ArbiterStream.toggle_aware, 1),
                   (ArbiterStream.flip_mode, 1), (ArbiterStream.advance, 2)]
 

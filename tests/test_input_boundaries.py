@@ -4,7 +4,9 @@ Every case below is a value that a constructor or CLI flag used to
 accept (and then hang on, poison a clock with, or crash on with an
 untyped error).  A library case must raise the module's typed error
 from its constructor; a CLI case must exit 2 with a message naming the
-bad value.  CLI cases call ``repro.cli.main`` in this process under a
+bad value.  The arbiter's floor changes and the fabric's cap clears
+must also raise before they change anything.  CLI cases call
+``repro.cli.main`` in this process under a
 time limit (a timer signal raises in the main thread), so a regression
 that hangs fails the test instead of stalling the suite; one fleet and
 one host case also run ``python -m repro`` in a fresh interpreter.
@@ -22,12 +24,15 @@ import pytest
 import repro
 from repro import Host, cascade_lake_2s, pipe
 from repro.cli import main
+from repro.core import DynamicArbiter
 from repro.errors import (
+    ArbiterError,
     ClockError,
     FleetError,
     ResilienceError,
     SimulationError,
     SloError,
+    UnknownLinkError,
     WorkloadError,
 )
 from repro.fleet import (
@@ -38,7 +43,13 @@ from repro.fleet import (
     MigrationPlanner,
 )
 from repro.resilience import ChaosConfig, RecoveryConfig
-from repro.sim import Constraint, Engine, FlowDemand, IncrementalMaxMinSolver
+from repro.sim import (
+    Constraint,
+    Engine,
+    FabricNetwork,
+    FlowDemand,
+    IncrementalMaxMinSolver,
+)
 from repro.slo import LatencyRegressionConfig, SloConfig, SloObjective
 from repro.units import Gbps, us
 from repro.workloads.cluster_traces import (
@@ -345,6 +356,73 @@ CLI_EXTRA_ARGS = {"--time-scale": ("--trace", FIXTURE),
 def test_constructor_rejects_bad_value(build, kwargs, error):
     with pytest.raises(error):
         build(**kwargs)
+
+
+#: Floor changes the arbiter must reject, against one 1 Gbps floor of
+#: "t" on pcie-nic0 fwd.  Each used to go through (a NaN floor, a floor
+#: grown by a negative amount), to change a floor before raising (the
+#: fwd floor deleted, then a raise on rev), or to bump the arbiter's
+#: configuration and re-arm its parked task before raising.
+BAD_FLOOR_CHANGES = [
+    pytest.param("remove_floor", "t", NAN, "fwd", id="remove-nan"),
+    pytest.param("remove_floor", "t", INF, "fwd", id="remove-inf"),
+    pytest.param("remove_floor", "t", -Gbps(5), "fwd", id="remove-negative"),
+    pytest.param("remove_floor", "t", 0.0, "fwd", id="remove-zero"),
+    pytest.param("remove_floor", "t", Gbps(1), None,
+                 id="remove-both-ways-floor-on-fwd-only"),
+    pytest.param("remove_floor", "t", Gbps(1), "up",
+                 id="remove-bad-direction"),
+    pytest.param("remove_floor", "u", Gbps(1), "fwd",
+                 id="remove-no-such-floor"),
+    pytest.param("add_floor", "t", Gbps(1), "up", id="add-bad-direction"),
+]
+
+
+@pytest.mark.parametrize("method, tenant, bandwidth, direction",
+                         BAD_FLOOR_CHANGES)
+def test_arbiter_rejects_floor_change_untouched(method, tenant, bandwidth,
+                                                direction):
+    network = FabricNetwork(cascade_lake_2s(), Engine())
+    arbiter = DynamicArbiter(network)
+    arbiter.add_floor("t", "pcie-nic0", Gbps(1), direction="fwd")
+    arbiter.start()
+    network.engine.run_until(0.01)
+    # Quiesced: the periodic task parked itself.
+    assert network.engine.peek_time() is None
+    with pytest.raises(ArbiterError):
+        getattr(arbiter, method)(tenant, "pcie-nic0", bandwidth,
+                                 direction=direction)
+    assert arbiter.floors_on("pcie-nic0", "fwd") == {"t": Gbps(1)}
+    assert arbiter.floors_on("pcie-nic0", "rev") == {}
+    # Still parked, and the configuration did not move: the next round
+    # is skipped.
+    assert network.engine.peek_time() is None
+    skipped = arbiter.skipped_adjustments
+    arbiter.adjust_once()
+    assert arbiter.skipped_adjustments == skipped + 1
+
+
+CAP_CLEARS = {
+    "clear_link_caps": lambda network, link, direction:
+        network.clear_link_caps(link, ("t",), direction=direction),
+    "clear_tenant_link_cap": lambda network, link, direction:
+        network.clear_tenant_link_cap("t", link, direction=direction),
+}
+
+
+@pytest.mark.parametrize("clear", sorted(CAP_CLEARS))
+@pytest.mark.parametrize("link, direction, error", [
+    pytest.param("nope", "fwd", UnknownLinkError, id="unknown-link"),
+    pytest.param("pcie-nic0", "up", ValueError, id="bad-direction"),
+])
+def test_fabric_cap_clear_rejects_bad_link_key(clear, link, direction,
+                                               error):
+    # set_link_caps rejects both; the clears used to skip them silently.
+    network = FabricNetwork(cascade_lake_2s(), Engine())
+    network.set_link_caps("pcie-nic0", {"t": Gbps(1)}, direction="fwd")
+    with pytest.raises(error):
+        CAP_CLEARS[clear](network, link, direction)
+    assert network.tenant_link_cap("t", "pcie-nic0", "fwd") == Gbps(1)
 
 
 #: Host-level subcommands: each case ends with the bad flag and value, or

@@ -329,7 +329,8 @@ class TestLinkCaps:
     def test_caps_set_after_every_flow_left(self):
         # Flows that leave drop out of their caps' memberships, and a
         # membership left empty is deleted: once every flow has left, the
-        # fabric holds no membership, so its next caps install in bulk.
+        # fabric holds no membership, so its next caps bind no flow and
+        # install without a solver constraint.
         def drained():
             net = _capped_net(True, {"a": Gbps(2), "b": Gbps(8)}, None)
             assert net._cap_members
