@@ -39,6 +39,7 @@ from typing import (
 
 from ..errors import ArbiterError
 from ..sim.engine import PeriodicTask
+from ..sim.events import Event
 from ..trace.recorder import TRACER
 from ..sim.network import SYSTEM_TENANT, FabricNetwork
 from ..units import us
@@ -327,6 +328,9 @@ class DynamicArbiter:
         self._link_cache: Dict[Tuple[str, str], tuple] = {}
         self._emitted_caps: Dict[Tuple[str, str], Dict[str, float]] = {}
         self._applying = False
+        # Scheduled arbiter-apply events not yet fired: stop() cancels
+        # them.
+        self._in_flight: List[Event] = []
 
         self.adjustments = 0
         self.skipped_adjustments = 0
@@ -499,9 +503,23 @@ class DynamicArbiter:
             self._arm()
 
     def stop(self, lift_caps: bool = True) -> None:
-        """Stop adjusting; optionally lift every cap the arbiter set."""
+        """Stop adjusting; optionally lift every cap the arbiter set.
+
+        Either way, enforcement decided but not yet applied is
+        cancelled: a stopped arbiter programs no cap.
+        """
         self._running = False
         self._park()
+        cancelled = bool(self._in_flight)
+        for event in self._in_flight:
+            event.cancel()
+        self._in_flight = []
+        if cancelled:
+            # The caches record caps the fabric never received: forget
+            # them, so that a restart computes and programs them again.
+            self._link_cache.clear()
+            self._emitted_caps.clear()
+            self._quiesced_state = None
         if lift_caps:
             with self.network.batch():
                 for (link_id, direction), tenants in self._capped.items():
@@ -639,11 +657,11 @@ class DynamicArbiter:
         quiesced: Optional[tuple] = None
         if pending:
             if self.decision_latency > 0:
-                self.network.engine.schedule_in(
+                self._in_flight.append(self.network.engine.schedule_in(
                     self.decision_latency,
-                    lambda batch=pending: self._apply(batch),
+                    lambda batch=pending: self._apply_in_flight(batch),
                     label="arbiter-apply",
-                )
+                ))
             else:
                 self._apply(pending)
                 if self.network.active_flows():
@@ -661,6 +679,14 @@ class DynamicArbiter:
         self._quiesced_state = (quiesced if quiesced is not None
                                 else self._input_fingerprint())
         return allocations
+
+    def _apply_in_flight(self, batch: List[Tuple[str, str, Dict[str, float]]]
+                         ) -> None:
+        # The firing event has left the queue: forget it, and with it
+        # its batch.
+        self._in_flight = [event for event in self._in_flight
+                           if event.queued]
+        self._apply(batch)
 
     def _apply(self, batch: List[Tuple[str, str, Dict[str, float]]]
                ) -> None:

@@ -20,7 +20,15 @@ Two disciplines implement it:
 The event-driven clock is seed-deterministic: the heap orders ties by
 ``(time, host_id)``, and hosts share no fabric state, so the outcome of a
 seeded churn run is identical to lockstep (asserted across ≥20 seeds in
-``tests/test_fleet_clock.py``).  Whenever fleet-level control must observe
+``tests/test_fleet_clock.py``).
+
+Both disciplines advance a host only through :meth:`FleetClock._run_host`,
+which also runs the host's latency probe (``slo=``): a fleet probe
+schedules no engine event, and the clock sweeps it at each point of the
+fleet's one :class:`~repro.slo.probe.SweepGrid` it passes, after the
+host's own events at or before that point.  The event clock also sweeps idle hosts
+when a grid point falls due, so an armed probe no longer keeps every
+host's queue busy.  Whenever fleet-level control must observe
 exact quantum cadence — a rebalance threshold is armed, any host runs a
 recovery controller, or escalations are queued — the event clock falls
 back to lockstep boundaries for the advance, preserving the ordering of
@@ -30,6 +38,7 @@ escalation draining and rebalance moves bit-for-bit.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Dict, List, Optional, Tuple, Type, Union, TYPE_CHECKING
 
 from ..errors import ClockError, FleetError
@@ -65,6 +74,10 @@ class FleetClock:
         # Crashed hosts: frozen in time, never advanced or woken until
         # reactivated (see FleetFaultInjector).
         self._inactive: set = set()
+        # Each probed host's latency probe, swept by _run_host.
+        self._probes = {host_id: host.slo_probe
+                        for host_id, host in fleet.hosts()
+                        if host.slo_probe is not None}
 
     @property
     def now(self) -> float:
@@ -126,7 +139,21 @@ class FleetClock:
             engine = self.fleet.host(host_id).engine
         if target < engine.now:
             return 0  # already ahead (never happens under fleet control)
-        return engine.run_until(target)
+        return self._run_host(host_id, engine, target)
+
+    def _run_host(self, host_id: str, engine, t: float) -> int:
+        """Run one host's engine to *t*: every advance of a host (the
+        lockstep loop, the event heap, :meth:`wake`) goes through here.
+
+        A probed host is swept at each grid point on the way, after its
+        own events at or before that point, as its probe's engine timer
+        would (see :meth:`~repro.slo.probe.LatencyProbe.run_until`).
+        Returns the number of host events processed.
+        """
+        probe = self._probes.get(host_id)
+        if probe is None:
+            return engine.run_until(t)
+        return probe.run_until(t)
 
     def notify(self, host_id: str) -> None:
         """Tell the clock *host_id*'s event queue may have changed.
@@ -145,7 +172,7 @@ class FleetClock:
             for host_id, host in self.fleet.hosts():
                 if host_id in self._inactive:
                     continue  # crashed: frozen in time
-                processed += host.engine.run_until(boundary)
+                processed += self._run_host(host_id, host.engine, boundary)
             self._now = boundary
             self.fleet.planner.control()
         return processed
@@ -195,10 +222,15 @@ class EventDrivenFleetClock(FleetClock):
         self._heap: List[Tuple[float, str]] = []
         # One representative in-heap entry per host: pushing a peek that
         # is already queued is pure churn (stale entries cost two
-        # re-validation peeks each at the next advance).  With latency
-        # probes armed every host always *has* a finite peek, so every
-        # fleet-surface wake would otherwise push a duplicate.
+        # re-validation peeks each at the next advance).
         self._queued: Dict[str, float] = {}
+        # The fleet's sweep grid and its first point after the last
+        # sweep pass: an advance that reaches it sweeps every probed host
+        # (_sweep_due), so the fold at each grid point sees every sweep
+        # before it, and no advance scans the hosts between grid points.
+        self._grid = fleet.slo_grid
+        self._grid_due = (self._grid.after(start) if self._grid is not None
+                          else math.inf)
         self._primed = False
         # Recovery controllers are attached at host construction and the
         # fleet's membership is fixed, so one scan decides forever whether
@@ -251,7 +283,7 @@ class EventDrivenFleetClock(FleetClock):
         engine = self._engines.get(host_id)
         if engine is None:  # unknown id: raise UnknownHostError
             engine = self.fleet.host(host_id).engine
-        processed = (engine.run_until(target)
+        processed = (self._run_host(host_id, engine, target)
                      if target >= engine.now else 0)
         if self._primed:
             t_ev = engine.peek_time()
@@ -300,12 +332,31 @@ class EventDrivenFleetClock(FleetClock):
                 continue
             heapq.heappop(heap)
             self._drop_entry(host_id, t_ev)
-            processed += engine.run_until(t_ev)
+            processed += self._run_host(host_id, engine, t_ev)
             nxt = engine.peek_time()
             if nxt is not None:
                 self._push_peek(host_id, nxt)
+        if self._grid_due <= t + _CLOCK_EPS:
+            processed += self._sweep_due(t + _CLOCK_EPS)
+            self._grid_due = self._grid.after(t)
         if t > self._now:
             self._now = t
+        return processed
+
+    def _sweep_due(self, limit: float) -> int:
+        """Sweep every active probed host at its grid points up to
+        *limit*, hosts with no event due included.
+
+        The heap loop has already run every host event up to *limit*,
+        so each host runs only to its sweeps; without a recovery
+        controller (whose presence switches the advance to lockstep) a
+        sweep schedules no host event.
+        """
+        processed = 0
+        inactive = self._inactive
+        for host_id, probe in self._probes.items():
+            if host_id not in inactive and probe.next_due <= limit:
+                processed += probe.run_due(limit)
         return processed
 
 

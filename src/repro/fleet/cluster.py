@@ -44,7 +44,7 @@ from ..monitor.failures import FailureInjector
 from ..resilience.invariants import check_invariants
 from ..slo.monitor import FleetSloMonitor, SloSample
 from ..slo.objective import SloAlert
-from ..slo.probe import normalize_slo
+from ..slo.probe import SweepGrid, normalize_slo
 from ..topology.elements import LinkClass
 from ..topology.graph import HostTopology
 from ..topology.presets import load_preset
@@ -94,7 +94,8 @@ class Fleet:
             default :class:`~repro.slo.probe.SloConfig`; a config or a
             single :class:`~repro.slo.objective.SloObjective` tunes it.
             Every host runs a sampled
-            :class:`~repro.slo.probe.LatencyProbe`, and
+            :class:`~repro.slo.probe.LatencyProbe`, swept by the fleet
+            clock on one grid, and
             :meth:`advance_to` folds the merged stream into :attr:`slo`, a
             :class:`~repro.slo.monitor.FleetSloMonitor` whose fast-window
             burn-rate alerts hand the offending host to
@@ -154,22 +155,20 @@ class Fleet:
         slo_config = normalize_slo(slo)
         self._slo_max_moves = slo_max_moves
         if slo_config is not None:
-            # Probes run host-side, so the config must reach every Host
-            # constructor.
-            host_kwargs["slo"] = slo_config
             #: Fleet-wide SLO state (None unless built with ``slo=``).
             self.slo: Optional[FleetSloMonitor] = FleetSloMonitor(
                 slo_config.objectives,
                 keep_samples=slo_config.keep_samples)
-            # Every probe arms at fleet build (host time 0), so they all
-            # fire on the same exact grid k * probe_period; advance
-            # boundaries before the next grid point cannot have produced
-            # samples and skip the drain/evaluate entirely.
-            self._slo_period = slo_config.probe_period
-            self._slo_fires = 0
-            self._slo_next_due = slo_config.probe_period
+            #: The one grid ``start + k * probe_period`` every host's
+            #: probe sweeps on (None unless built with ``slo=``).
+            self.slo_grid: Optional[SweepGrid] = SweepGrid(
+                start, slo_config.probe_period)
+            # Advance boundaries before the next grid point cannot have
+            # produced samples and skip the drain/evaluate entirely.
+            self._slo_next_due = self.slo_grid.point(1)
         else:
             self.slo = None
+            self.slo_grid = None
         # Hosts soft-quarantined by the latency alert sink (telemetry-
         # faulted so placement ranks them last until their burn clears).
         self._slo_quarantined: set = set()
@@ -189,6 +188,11 @@ class Fleet:
         for host_id in self._host_ids:
             host = Host(factory(), start=start, resilience=resilience,
                         **host_kwargs)
+            if slo_config is not None:
+                # Probes run host-side, with no engine timer: the fleet
+                # clock sweeps them on the fleet grid as it advances
+                # each host (FleetClock._run_host).
+                host._enable_slo(slo_config, grid=self.slo_grid)
             self._hosts[host_id] = host
             self.telemetry.attach(host_id, host)
         self.health = FleetHealth(self._host_ids,
@@ -275,13 +279,7 @@ class Fleet:
                 # drained), so gating on the exact grid skips only
                 # provably-empty drains and keeps the alert log
                 # bit-identical across clock disciplines.
-                fires, period = self._slo_fires, self._slo_period
-                due = self._slo_next_due
-                while due <= now:
-                    fires += 1
-                    due = (fires + 1) * period
-                self._slo_fires = fires
-                self._slo_next_due = due
+                self._slo_next_due = self.slo_grid.after(now)
         return processed
 
     def _clear_slo_quarantine(self) -> None:
@@ -485,8 +483,15 @@ class Fleet:
 
     def degrade_host_links(self, host_id: str, factor: float) -> None:
         """Degrade every intra-host placement link to *factor* capacity
-        (the fault injector's host-degrade primitive)."""
+        (the fault injector's host-degrade primitive).
+
+        Like every other fleet-surface mutation it wakes the host first
+        and notifies the clock after, so whatever the degrade schedules
+        (an arbiter re-arm) is timed from fleet time, not from a host
+        clock the event discipline left behind.
+        """
         host = self.host(host_id)
+        self.wake(host_id)
         injector = self._injectors.get(host_id)
         if injector is None:
             injector = FailureInjector(host.network)
@@ -497,14 +502,19 @@ class Fleet:
                     or link.capacity <= 0):
                 continue
             failures.append(injector.degrade_link(link.link_id, factor))
+        self.notify(host_id)
 
     def restore_host_links(self, host_id: str) -> None:
-        """Clear a previous :meth:`degrade_host_links` on *host_id*."""
+        """Clear a previous :meth:`degrade_host_links` on *host_id*
+        (waking the host first and notifying the clock after, as the
+        degrade does)."""
         self.host(host_id)  # raises UnknownHostError
+        self.wake(host_id)
         injector = self._injectors.get(host_id)
         if injector is not None:
             for failure in self._degrade_failures.pop(host_id, []):
                 injector.clear(failure)
+        self.notify(host_id)
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -647,11 +647,10 @@ class FleetFaultInjector:
             self._skip("degrade", ev.targets, "host already faulted")
             return
         factor = ev.factor if ev.factor is not None else 0.5
-        self.fleet.wake(host_id)
         health.degrade(host_id, factor)
         self.fleet.telemetry.set_fault(host_id, True)
+        # Wakes the host first and notifies the clock after.
         self.fleet.degrade_host_links(host_id, factor)
-        self.fleet.notify(host_id)
         self.fleet.telemetry.invalidate(host_id)
         if self.recovery is not None:
             self.recovery.evacuate_host(host_id, crash=False)
@@ -663,11 +662,10 @@ class FleetFaultInjector:
     def _repair_degrade(self, entry: _ScheduledAction,
                         ev: FleetFaultEvent) -> None:
         host_id = ev.targets[0]
-        self.fleet.wake(host_id)
+        # Wakes the host first and notifies the clock after.
         self.fleet.restore_host_links(host_id)
         self.fleet.health.restore(host_id)
         self.fleet.telemetry.set_fault(host_id, False)
-        self.fleet.notify(host_id)
         self.fleet.telemetry.invalidate(host_id)
         self.restores += 1
         self._emit("repair", "degrade", ev.targets)

@@ -162,24 +162,28 @@ class Host:
             )
             self._manager.on_release(lambda _intent_id: self.retry.kick())
 
-    def _enable_slo(self, slo) -> None:
+    def _enable_slo(self, slo, grid=None) -> None:
         """Build and arm the sampled latency probe.
 
         *slo* is ``True`` (defaults), an
         :class:`~repro.slo.probe.SloConfig`, or a single
         :class:`~repro.slo.objective.SloObjective`.  Imported lazily,
-        like resilience, to keep :class:`Host` import-light.  The
-        probe's local burn-rate evaluation only runs when a listener is
-        attached — i.e. when this host also runs a recovery controller;
-        fleet hosts leave evaluation to the fleet-side
-        :class:`~repro.slo.monitor.FleetSloMonitor`.
+        like resilience, to keep :class:`Host` import-light.  Without
+        *grid* the probe sweeps from an engine event per grid point; a
+        :class:`~repro.fleet.cluster.Fleet` passes its
+        :class:`~repro.slo.probe.SweepGrid` and its clock runs the
+        sweeps instead.  The probe's local burn-rate evaluation only
+        runs when a listener is attached — i.e. when this host also
+        runs a recovery controller; fleet hosts leave evaluation to the
+        fleet-side :class:`~repro.slo.monitor.FleetSloMonitor`.
         """
         from .slo.probe import LatencyProbe, normalize_slo
 
         if self._manager is None:
             raise RuntimeError("slo requires a managed host (managed=True)")
         config = normalize_slo(slo)
-        self.slo_probe = LatencyProbe(self.network, self._manager, config)
+        self.slo_probe = LatencyProbe(self.network, self._manager, config,
+                                      grid=grid)
         self.slo_probe.start()
         if self.recovery is not None:
             self.slo_probe.on_alert(self.recovery.handle_latency_alert)

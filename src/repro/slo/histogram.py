@@ -16,6 +16,7 @@ enough that a histogram is 64 ints.  Saturated-path probes return
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, Iterable, List, Tuple
 
@@ -29,6 +30,11 @@ BUCKET_COUNT = 64
 _LOG_GROWTH = math.log(BUCKET_GROWTH)
 
 
+# Memoized: a pure function of the value, and a probe stream repeats a
+# few distinct values (each sample is bucketed by the probe's histogram
+# and again by the fleet monitor's).  Equal keys share one result, which
+# is exact here because equal floats fall in the same bucket.
+@functools.lru_cache(maxsize=4096)
 def bucket_index(value: float) -> int:
     """The bucket a latency sample falls in.
 

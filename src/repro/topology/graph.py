@@ -161,23 +161,27 @@ class HostTopology:
     _SHARED_ROUTE_CACHES: Dict[tuple, Dict[tuple, tuple]] = {}
     _SHARED_ROUTE_CACHE_LIMIT = 128
 
-    def _route_fingerprint(self) -> Tuple[tuple, ...]:
-        """Everything enumerated paths depend on, per link.
+    def link_state_fingerprint(self) -> Tuple[tuple, ...]:
+        """Every link's structure and state, in one hashable value.
 
         Endpoints pin the structure (two topologies agreeing on every
         link's id and ends enumerate identical paths); health, capacity,
         and degradation each change which paths are viable or what their
-        baked-in bottleneck is.
+        baked-in bottleneck is; base latency sets each path's
+        ``base_latency`` and so the order paths are enumerated in, and
+        with the injected extra latency it sets what a path's probe
+        reads.  Both the route cache and the latency probe's reuse key
+        (:class:`~repro.slo.probe.LatencyProbe`) rest on it.
         """
         return tuple(
             (link_id, link.src, link.dst, link.up, link.capacity,
-             link.degraded_capacity)
+             link.degraded_capacity, link.base_latency, link.extra_latency)
             for link_id, link in self._links.items()
         )
 
     def _route_cache_get(self, key: tuple) -> Optional[tuple]:
         """Cached enumeration for *key*, swapping caches when stale."""
-        state = self._route_fingerprint()
+        state = self.link_state_fingerprint()
         if state != self._route_cache_state:
             self._route_cache_state = state
             shared = HostTopology._SHARED_ROUTE_CACHES

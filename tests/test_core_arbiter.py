@@ -10,6 +10,7 @@ from repro import Host
 from repro.core import DynamicArbiter, HostNetworkManager, compute_caps, pipe
 from repro.core.arbiter import _RAMP_ALLOWANCE_FRACTION
 from repro.errors import ArbiterError
+from repro.sim import Engine, FabricNetwork
 from repro.topology import cascade_lake_2s, shortest_path
 from repro.units import Gbps, us
 
@@ -228,6 +229,41 @@ class TestDynamicArbiter:
         assert bully.current_rate < Gbps(256)
         arbiter.stop(lift_caps=True)
         assert bully.current_rate == pytest.approx(Gbps(256), rel=1e-6)
+
+    @staticmethod
+    def _floor_and_bully(restart):
+        net = FabricNetwork(cascade_lake_2s(), Engine())
+        arbiter = DynamicArbiter(net)  # default 10 us decision latency
+        path = shortest_path(net.topology, "nic0", "dimm0-0")
+        arbiter.add_floor("t", path.links[0], Gbps(100))
+        arbiter.register_best_effort("b")
+        arbiter.start()
+        arbiter.adjust_once()
+        restart(arbiter)
+        net.engine.run_until(0.005)
+        return {(tenant, link, direction): cap
+                for link in net.topology.link_ids()
+                for direction in ("fwd", "rev", None)
+                for tenant in ("t", "b")
+                if (cap := net.tenant_link_cap(tenant, link, direction))
+                is not None}
+
+    def test_stop_cancels_the_apply_in_flight(self):
+        # The round's caps would land 10 us later: a stop before they do
+        # leaves no cap behind.
+        assert self._floor_and_bully(
+            lambda arbiter: arbiter.stop(lift_caps=True)) == {}
+
+    @pytest.mark.parametrize("lift_caps", [True, False])
+    def test_restart_after_a_cancelled_apply_programs_the_caps(
+            self, lift_caps):
+        def restart(arbiter):
+            arbiter.stop(lift_caps=lift_caps)
+            arbiter.start()
+
+        expected = self._floor_and_bully(lambda arbiter: None)
+        assert expected
+        assert self._floor_and_bully(restart) == expected
 
     @pytest.mark.parametrize("latency_slo", [None, us(12)])
     def test_zero_latency_reclaims_lent_floor(self, cascade_net,

@@ -278,6 +278,31 @@ def test_degrade_live_migrates_and_restores_bit_exact():
         fleet.shutdown()
 
 
+@pytest.mark.parametrize("mutate", ["degrade", "restore"])
+def test_degrade_and_restore_wake_the_host_first(mutate):
+    # On the event clock an idle host is left behind fleet time; a link
+    # degrade re-arms its arbiter, which must be timed from fleet time
+    # and run when due, not from the host's stale clock.
+    fleet = make_fleet(hosts=2, domains=1)
+    fleet.submit(kv("a"))
+    host_id = fleet.scheduler.host_of("a")
+    host = fleet.host(host_id)
+    if mutate == "restore":
+        fleet.degrade_host_links(host_id, 0.5)
+    fleet.advance_to(0.05)
+    assert host.engine.now < 0.05  # idle: its arbiter parked
+    if mutate == "degrade":
+        fleet.degrade_host_links(host_id, 0.5)
+    else:
+        fleet.restore_host_links(host_id)
+    assert host.engine.now == fleet.now
+    assert host.engine.peek_time() > fleet.now  # the arbiter re-armed
+    fleet.advance_to(0.06)
+    pending = host.engine.peek_time()
+    assert pending is None or pending > 0.06
+    fleet.shutdown()
+
+
 def test_degrade_respects_evacuate_degraded_off():
     fleet = make_fleet(hosts=2, domains=2)
     recovery = FleetRecoveryController(

@@ -139,3 +139,23 @@ def test_paths_are_simple_and_connected_property(pair):
             link = topo.link(link_id)
             assert {p.devices[i], p.devices[i + 1]} == {link.src, link.dst}
         assert p.src == src and p.dst == dst
+
+
+def test_route_cache_keys_on_base_latency():
+    """Enumerations are shared process-wide between topologies with the
+    same link-state fingerprint, and a path's ``base_latency`` (and so
+    the order paths come in) depends on every link's base latency: two
+    topologies that differ only there must not share enumerations."""
+    reference = [(p.links, p.base_latency)
+                 for p in k_shortest_paths(cascade_lake_2s(), "nic0",
+                                           "dimm1-0")]
+    slow = cascade_lake_2s()
+    slow.link("upi-socket0-socket1-0").base_latency = 1.4e-6
+    slowed = [(p.links, p.base_latency)
+              for p in k_shortest_paths(slow, "nic0", "dimm1-0")]
+    again = [(p.links, p.base_latency)
+             for p in k_shortest_paths(cascade_lake_2s(), "nic0", "dimm1-0")]
+    assert again == reference
+    assert slowed != reference
+    assert all(latency == pytest.approx(4.5e-7)
+               for _links, latency in reference)
